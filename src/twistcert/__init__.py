@@ -40,6 +40,7 @@ from .presentation import (
     apply_rule,
     equal_modulo_rules,
     even_power_presentation,
+    fixture_path,
     format_script,
     parse_script,
     torus_presentation,
@@ -88,10 +89,3 @@ from .certificates import (
 )
 
 __version__ = "0.1.0"
-
-
-def fixture_path(name: str):
-    """Path of a bundled proof-script fixture, e.g. ``chain_a.proof``."""
-    from importlib.resources import files
-
-    return files(__name__) / "fixtures" / name

@@ -37,8 +37,11 @@ from .presentation import (
     Presentation,
     ProofScript,
     ProofStep,
+    Rule,
     apply_rule,
     even_power_presentation,
+    fixture_path,
+    parse_script,
     torus_presentation,
     verify_script,
 )
@@ -48,66 +51,58 @@ from .words import Word, commutator, concat, invert, power, word
 P_WORD = word("b a2 a3 b a1 a2 c2^-1")
 Q_WORD = word("c3^-1 b a2 a3 b a1 a2")
 C1 = word("c1")
+_C = word("c")
+_S = word("s")
 _CENTRAL_NAMES = ("c1", "c2", "c3")
 
 LocalStep = tuple[str, tuple[str, ...], Direction, int]
-
-# the star expansion (b a1 a2 a3)^3 rewritten to the squared word
-# (b a2 a3 b a1 a2)^2, on a 12-letter window
-CHAIN_A_TAIL: tuple[LocalStep, ...] = (
-    ("COMMUTE", ("a1", "a2"), Direction.LR, 1),
-    ("COMMUTE", ("a1", "a3"), Direction.LR, 2),
-    ("COMMUTE", ("a2", "a3"), Direction.LR, 10),
-    ("COMMUTE", ("a1", "a3"), Direction.LR, 9),
-    ("BRAID", ("b", "a1"), Direction.RL, 3),
-    ("BRAID", ("b", "a3"), Direction.RL, 7),
-    ("BRAID", ("b", "a2"), Direction.LR, 5),
-)
-
-# c3^-1 a3 a1 b a2 a3 b rewritten to a1 (c3^-1 b a2 a3 b a1 a2) a1^-1,
-# on a 7-letter window (grows to 9)
-CHAIN_B_STEPS: tuple[LocalStep, ...] = (
-    ("COMMUTE", ("a1", "a3"), Direction.RL, 1),
-    ("COMMUTE", ("a2", "a3"), Direction.LR, 4),
-    ("BRAID", ("b", "a3"), Direction.RL, 2),
-    ("BRAID", ("b", "a2"), Direction.LR, 4),
-    ("CENTRAL", ("c3", "a1"), Direction.LR, 0),
-    ("COMMUTE", ("a2", "a3"), Direction.RL, 3),
-    ("FREE_RED", ("a1",), Direction.RL, 6),
-    ("COMMUTE", ("a1", "a2"), Direction.LR, 7),
-)
-
-_SWAP_FAMILIES = ("COMMUTE", "CENTRAL", "COMMUTE_H")
 
 
 def mirror_local_steps(steps: Iterable[LocalStep], window_len: int) -> tuple[LocalStep, ...]:
     """Steps proving u -> v, transformed to prove u^-1 -> v^-1.
 
     Inverting a word reverses it and flips every sign, so a step at
-    position p on a length-L word lands at L - p - len(pattern); swap
-    rules trade sides, sign-uniform rules keep their direction.
+    position p on a length-L word lands at L - p - len(pattern), and it
+    must rewrite each inverted segment into the inverted replacement: the
+    mirrored step takes the direction of the same rule that does so.
     """
-    from .presentation import _SHAPES  # shape table is shared with the rule layer
-
     out: list[LocalStep] = []
     length = window_len
     for family, params, direction, pos in steps:
-        pat, rep = _SHAPES[family][direction]
-        if family in _SWAP_FAMILIES:
-            mirrored_dir = direction.flipped()
-        elif family in ("BRAID", "STAR", "REVERSE_S", "FREE_RED"):
-            if family == "FREE_RED" and params[0] == "r":
-                raise ValueError("an r r pair has no all-inverted mirror")
-            mirrored_dir = direction
-        else:
-            raise ValueError(f"{family} steps cannot be mirrored")
-        out.append((family, params, mirrored_dir, length - pos - pat))
-        length += rep - pat
+        rule = Rule(family, params)
+        rewrites = rule.rewrites(direction).items()
+        mirrored = next((d for d in (direction, direction.flipped())
+                         if all(rule.rewrites(d).get(_inverse(seg)) == _inverse(repl)
+                                for seg, repl in rewrites)), None)
+        if mirrored is None:
+            raise ValueError(f"{rule.render()} {direction.value} steps cannot be mirrored")
+        seg, repl = next(iter(rewrites))
+        out.append((family, params, mirrored, length - pos - len(seg)))
+        length += len(repl) - len(seg)
     return tuple(out)
 
 
-CHAIN_A_TAIL_MIRROR = mirror_local_steps(CHAIN_A_TAIL, 12)
-CHAIN_B_MIRROR = mirror_local_steps(CHAIN_B_STEPS, 7)
+def _inverse(letters):
+    return tuple(lt.inverse() for lt in reversed(letters))
+
+
+def _local_steps(steps: Iterable[ProofStep]) -> tuple[LocalStep, ...]:
+    return tuple((s.rule.family, s.rule.params, s.direction, s.position) for s in steps)
+
+
+# The two derivation chains ship as proof-script fixtures, their only source.
+_CHAIN_A = parse_script(fixture_path("chain_a.proof").read_text(), torus_presentation())
+_CHAIN_B = parse_script(fixture_path("chain_b.proof").read_text(), torus_presentation())
+
+# the star expansion (b a1 a2 a3)^3 rewritten to the squared word
+# (b a2 a3 b a1 a2)^2, on a 12-letter window: chain A after its STAR step
+CHAIN_A_TAIL = _local_steps(_CHAIN_A.steps[1:])
+# c3^-1 a3 a1 b a2 a3 b rewritten to a1 (c3^-1 b a2 a3 b a1 a2) a1^-1,
+# on a 7-letter window (grows to 9)
+CHAIN_B_STEPS = _local_steps(_CHAIN_B.steps)
+
+CHAIN_A_TAIL_MIRROR = mirror_local_steps(CHAIN_A_TAIL, len(_CHAIN_A.end))
+CHAIN_B_MIRROR = mirror_local_steps(CHAIN_B_STEPS, len(_CHAIN_B.start))
 
 
 class ScriptBuilder:
@@ -353,10 +348,9 @@ def build_even_power_certificate(surface: SurfaceSpec, curve: CurveClass, n: int
     if flavor == "twist" and not case.twist_admissible:
         raise OutOfScope("the complement has no nonorientable piece of genus >= 2, "
                          "so no curve-reversing map exists in the twist subgroup")
-    c = word("c")
-    x = power(c, n)
-    y = word("s")
-    target = power(c, 2 * n)
+    x = power(_C, n)
+    y = _S
+    target = power(_C, 2 * n)
     start = commutator(x, y)
     builder = ScriptBuilder(start, even_power_presentation())
     m = abs(n)
@@ -408,12 +402,14 @@ class CertificateReport:
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
-    """Replay the script, re-run the case selection and the homology
-    shadow, and re-check the determinant membership record.  Failure is a
-    report state, even for malformed certificates."""
+    """Re-derive the claim from n and the case, replay the script, re-run
+    the case selection and the homology shadow, and re-check the
+    determinant membership record.  Failure is a report state, even for
+    malformed certificates."""
     problems: list[str] = []
 
     problems.extend(_case_problems(cert))
+    problems.extend(_claim_problems(cert))
 
     expected_comm = commutator(cert.x, cert.y)
     if cert.script.start != expected_comm:
@@ -433,6 +429,8 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
             homology_ok = _homology_check(cert.script, ASSIGNMENTS[cert.assignment_id]())
             if not homology_ok:
                 problems.append("homology representations of start and end differ")
+            elif not cert.homology_ok:
+                problems.append("homology-check is recorded as fail but recomputes as pass")
         except Exception as exc:
             problems.append(f"homology check failed to run: {exc}")
     else:
@@ -455,7 +453,7 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
                 problems.append("membership record does not certify both entries")
 
     ok = not problems
-    message = "; ".join(problems) if problems else "script, homology and membership verified"
+    message = "; ".join(problems) if problems else "claim, script, homology and membership verified"
     return CertificateReport(ok, report.ok, homology_ok, membership_ok,
                              report.failed_step, message)
 
@@ -482,6 +480,26 @@ def _case_problems(cert: Certificate) -> list[str]:
     if cert.flavor == "even-power-twist" and not cert.case.twist_admissible:
         return ["even-power twist certificate on an inadmissible complement"]
     return []
+
+
+def _claim_problems(cert: Certificate) -> list[str]:
+    """Compare target, x and y with the words the recorded n and case
+    require: c1^n = [P^n, Y] with Y for the case's y-choice, or
+    c^(2n) = [c^n, s] for the even-power flavours."""
+    if cert.flavor.startswith("even-power"):
+        claim = (("target", _C, 2 * cert.n), ("x", _C, cert.n), ("y", _S, 1))
+    else:
+        claim = (("target", C1, cert.n), ("x", P_WORD, cert.n),
+                 ("y", _Y_WORDS.get(cert.case.y_choice), 1))
+    problems = []
+    for name, base, k in claim:
+        found = getattr(cert, name)
+        # the bases are cyclically reduced, so base^k has |k| len(base)
+        # letters; comparing lengths first never expands an outside n
+        # beyond the size of the recorded word
+        if base is None or len(found) != abs(k) * len(base) or found != power(base, k):
+            problems.append(f"{name} is not the word that n = {cert.n} and the case require")
+    return problems
 
 
 def _membership_consistent(cert: Certificate) -> bool:

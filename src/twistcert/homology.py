@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .words import DEFAULT_ALPHABET, Alphabet, GeneratorKind, Word
+from .words import DEFAULT_ALPHABET, GeneratorKind, Word
 
 
 class MissingGenerator(KeyError):
@@ -390,8 +390,7 @@ _DET_BY_KIND = {
 }
 
 
-def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None,
-            alphabet: Alphabet = DEFAULT_ALPHABET) -> int:
+def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None) -> int:
     """The determinant homomorphism on a closed nonorientable surface.
 
     Twists map to +1, crosscap slides to -1, the reflection to the
@@ -405,9 +404,9 @@ def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None,
         raise ValueError("r_det must be +1 or -1")
     result = 1
     for lt in w:
-        if lt.name not in alphabet:
+        if lt.name not in DEFAULT_ALPHABET:
             raise UndefinedDet(lt.name, "unknown generator")
-        kind = alphabet[lt.name].kind
+        kind = DEFAULT_ALPHABET[lt.name].kind
         if kind is GeneratorKind.REFLECTION:
             if r_det is not None:
                 value = r_det

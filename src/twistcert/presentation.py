@@ -1,41 +1,41 @@
 """Rewrite rules of the three-holed-torus twist presentation and a
 replayable proof-script verifier.
 
-The rule set:
+Every rule is one equation between two letter segments, stated once in
+:func:`_equations`:
 
-* ``COMMUTE(x,y)``       -- twists about disjoint curves commute,
-* ``BRAID(b,ai)``        -- b ai b = ai b ai for the once-intersecting pairs,
-* ``STAR()``             -- c1 c2 c3 = (b a1 a2 a3)^3,
-* ``CENTRAL(ci,g)``      -- boundary twists move past every twist generator,
-* ``CONJ_REFLECT(g)``    -- r g^e r = sigma(g)^-e, the reflection conjugation,
-* ``REVERSE_S(c)``       -- s c^e s^-1 = c^-e for the designated curve,
-* ``COMMUTE_H(g)``       -- h moves past every twist generator,
-* ``FREE_RED(x)``        -- delete or insert a cancelling pair.
+* ``COMMUTE(x,y)``    -- x^e y^f = y^f x^e for twists about disjoint curves,
+* ``BRAID(b,ai)``     -- b ai b = ai b ai for the once-intersecting pairs,
+* ``STAR()``          -- c1 c2 c3 = (b a1 a2 a3)^3,
+* ``CENTRAL(ci,g)``   -- ci^e g^f = g^f ci^e: boundary twists are central,
+* ``CONJ_REFLECT(g)`` -- r g^e r = sigma(g)^-e, the reflection conjugation,
+* ``REVERSE_S(c)``    -- s c^e s^-1 = c^-e for the designated curve,
+* ``COMMUTE_H(g)``    -- h^e g^f = g^f h^e: h moves past every twist,
+* ``FREE_RED(x)``     -- x x^-1 = 1, or r r = 1 for the involution r.
 
-Rules are bidirectional.  ``LR`` replaces the left side of the stored
-equation by the right one at a position, ``RL`` the converse.  Where the
-relation survives inverting every letter (BRAID, STAR), the rule also
-matches the all-inverted pattern; mixed signs never match.  A proof script
-is a start word, a step list and an end word; replaying the steps must
-reproduce the end word letter for letter -- there is no implicit reduction.
+``e`` and ``f`` are sign variables ranging over +1 and -1.  BRAID and STAR
+also list the all-inverted copy of their relation; mixed signs never
+match.  Rules are bidirectional: ``LR`` replaces the left side of the
+equation by the right one at a position, ``RL`` the converse.  Each rule
+instance is compiled once, when it is constructed, into a table from
+every segment it rewrites to the replacement, so matching is one lookup.
+
+A proof script is a start word, a step list and an end word; replaying
+the steps must reproduce the end word letter for letter -- there is no
+implicit reduction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import product
+from pathlib import Path
 from typing import Iterable
 
-from .words import (
-    DEFAULT_ALPHABET,
-    Alphabet,
-    Letter,
-    Word,
-    letter,
-    word,
-)
+from .words import DEFAULT_ALPHABET, Letter, Word, letter, word
 
 #: The reflection's action on curves: fixes b, a1, c1 and swaps a2/a3, c2/c3.
 SIGMA = {
@@ -55,8 +55,55 @@ for _c in _BOUNDARY:
     for _g in _TORUS_GENS:
         if _g != _c:
             _DISJOINT_PAIRS.add(frozenset((_c, _g)))
+_INVERTIBLE = frozenset(n for n in DEFAULT_ALPHABET if not DEFAULT_ALPHABET.is_involution(n))
 
-_STAR_RHS = ("b", "a1", "a2", "a3") * 3
+
+def _equations(family: str, params: tuple[str, ...]) -> list[tuple[str, str]] | None:
+    """The LR equations ``(lhs, rhs)`` of a rule instance, in the word
+    grammar with sign variables (``x^e``, ``x^-f``); None if the instance
+    is not a relation of the presentations."""
+    match family, params:
+        case "COMMUTE", (x, y) if frozenset(params) in _DISJOINT_PAIRS:
+            return [(f"{x}^e {y}^f", f"{y}^f {x}^e")]
+        case "BRAID", ("b", ai) if ai in ("a1", "a2", "a3"):
+            return _with_inverted(f"b {ai} b", f"{ai} b {ai}")
+        case "STAR", ():
+            return _with_inverted("c1 c2 c3", " ".join(["b a1 a2 a3"] * 3))
+        case "CENTRAL", (ci, g) if ci in _BOUNDARY and g in _TORUS_GENS and g != ci:
+            return [(f"{ci}^e {g}^f", f"{g}^f {ci}^e")]
+        case "CONJ_REFLECT", (g,) if g in SIGMA:
+            return [(f"r {g}^e r", f"{SIGMA[g]}^-e")]
+        case "REVERSE_S", ("c",):
+            return [("s c^e s^-1", "c^-e")]
+        case "COMMUTE_H", (g,) if g in _TORUS_GENS:
+            return [(f"h^e {g}^f", f"{g}^f h^e")]
+        case "FREE_RED", (x,) if x.removesuffix("^-1") in _INVERTIBLE:
+            return [(f"{x} {letter(x).inverse()}", "")]
+        case "FREE_RED", ("r",):
+            return [("r r", "")]
+    return None
+
+
+def _with_inverted(lhs: str, rhs: str) -> list[tuple[str, str]]:
+    """An equation and its copy with every letter inverted."""
+    return [(lhs, rhs), (_inverted(lhs), _inverted(rhs))]
+
+
+def _inverted(pattern: str) -> str:
+    return " ".join(f"{name}^-1" for name in reversed(pattern.split()))
+
+
+_letter = lru_cache(maxsize=None)(Letter)  # the compiled tables share their letters
+
+
+def _letters(pattern: str, signs: dict[str, int]) -> tuple[Letter, ...]:
+    """The letters of a pattern under one assignment of its sign variables."""
+    out = []
+    for token in pattern.split():
+        name, _, exponent = token.partition("^")
+        sign = signs.get(exponent.lstrip("-"), 1)  # "" and "-1" carry no variable
+        out.append(_letter(name, -sign if exponent.startswith("-") else sign))
+    return tuple(out)
 
 
 class Direction(Enum):
@@ -81,191 +128,47 @@ class UnknownRule(KeyError):
     pass
 
 
-# (pattern length, replacement length) per direction; used for position
-# arithmetic when mirroring and for step sanity checks.
-_SHAPES: dict[str, dict[Direction, tuple[int, int]]] = {
-    "COMMUTE": {Direction.LR: (2, 2), Direction.RL: (2, 2)},
-    "BRAID": {Direction.LR: (3, 3), Direction.RL: (3, 3)},
-    "STAR": {Direction.LR: (3, 12), Direction.RL: (12, 3)},
-    "CENTRAL": {Direction.LR: (2, 2), Direction.RL: (2, 2)},
-    "CONJ_REFLECT": {Direction.LR: (3, 1), Direction.RL: (1, 3)},
-    "REVERSE_S": {Direction.LR: (3, 1), Direction.RL: (1, 3)},
-    "COMMUTE_H": {Direction.LR: (2, 2), Direction.RL: (2, 2)},
-    "FREE_RED": {Direction.LR: (2, 0), Direction.RL: (0, 2)},
-}
-
-
 @dataclass(frozen=True)
 class Rule:
     """One parametric rule instance, e.g. COMMUTE(a1,a2) or FREE_RED(a1^-1)."""
 
     family: str
     params: tuple[str, ...] = ()
+    # every segment the rule rewrites, mapped to its replacement, per direction
+    _lr: dict = field(init=False, repr=False, compare=False)
+    _rl: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family not in _SHAPES:
-            raise ValueError(f"unknown rule family {self.family!r}")
-        _VALIDATORS[self.family](self.params)
+        equations = _equations(self.family, self.params)
+        if equations is None:
+            raise ValueError(f"{self.render()} is not a rule of the presentations")
+        lr = {}
+        for lhs, rhs in equations:
+            for e, f in product((1, -1), repeat=2):
+                signs = {"e": e, "f": f}
+                lr[_letters(lhs, signs)] = _letters(rhs, signs)
+        object.__setattr__(self, "_lr", lr)
+        object.__setattr__(self, "_rl", {rhs: lhs for lhs, rhs in lr.items()})
 
     def render(self) -> str:
         return f"{self.family}({','.join(self.params)})"
 
-    def pattern_len(self, direction: Direction) -> int:
-        return _SHAPES[self.family][direction][0]
+    def rewrites(self, direction: Direction) -> dict[tuple[Letter, ...], tuple[Letter, ...]]:
+        """Every segment the rule rewrites in ``direction``, mapped to its
+        replacement."""
+        return self._lr if direction is Direction.LR else self._rl
 
-    def replacement_len(self, direction: Direction) -> int:
-        return _SHAPES[self.family][direction][1]
+    def pattern_len(self, direction: Direction) -> int:
+        return len(next(iter(self.rewrites(direction))))
 
     def match(self, letters: tuple[Letter, ...], pos: int, direction: Direction
               ) -> tuple[Letter, ...] | None:
         """Return the replacement letters if the pattern matches at pos."""
-        n = self.pattern_len(direction)
+        table = self.rewrites(direction)
+        n = len(next(iter(table)))
         if pos < 0 or pos + n > len(letters):
             return None
-        seg = letters[pos:pos + n]
-        return _MATCHERS[self.family](self.params, seg, direction)
-
-
-def _validate_commute(params: tuple[str, ...]) -> None:
-    if len(params) != 2 or frozenset(params) not in _DISJOINT_PAIRS:
-        raise ValueError(f"COMMUTE{params}: not a disjoint generator pair")
-
-
-def _validate_braid(params: tuple[str, ...]) -> None:
-    if len(params) != 2 or params[0] != "b" or params[1] not in ("a1", "a2", "a3"):
-        raise ValueError(f"BRAID{params}: expected (b, ai)")
-
-
-def _validate_star(params: tuple[str, ...]) -> None:
-    if params:
-        raise ValueError("STAR takes no parameters")
-
-
-def _validate_central(params: tuple[str, ...]) -> None:
-    if (len(params) != 2 or params[0] not in _BOUNDARY
-            or params[1] not in _TORUS_GENS or params[0] == params[1]):
-        raise ValueError(f"CENTRAL{params}: expected (ci, g) over the twist alphabet")
-
-
-def _validate_conj_reflect(params: tuple[str, ...]) -> None:
-    if len(params) != 1 or params[0] not in SIGMA:
-        raise ValueError(f"CONJ_REFLECT{params}: expected one twist generator")
-
-
-def _validate_reverse_s(params: tuple[str, ...]) -> None:
-    if len(params) != 1:
-        raise ValueError("REVERSE_S takes the designated curve name")
-
-
-def _validate_commute_h(params: tuple[str, ...]) -> None:
-    if len(params) != 1 or params[0] not in _TORUS_GENS:
-        raise ValueError(f"COMMUTE_H{params}: expected one twist generator")
-
-
-def _validate_free_red(params: tuple[str, ...]) -> None:
-    if len(params) != 1:
-        raise ValueError("FREE_RED takes one signed letter")
-    letter(params[0])  # syntax check
-
-
-_VALIDATORS = {
-    "COMMUTE": _validate_commute,
-    "BRAID": _validate_braid,
-    "STAR": _validate_star,
-    "CENTRAL": _validate_central,
-    "CONJ_REFLECT": _validate_conj_reflect,
-    "REVERSE_S": _validate_reverse_s,
-    "COMMUTE_H": _validate_commute_h,
-    "FREE_RED": _validate_free_red,
-}
-
-
-def _match_swap(first: str, second: str, seg: tuple[Letter, ...],
-                direction: Direction) -> tuple[Letter, ...] | None:
-    if direction is Direction.RL:
-        first, second = second, first
-    if seg[0].name == first and seg[1].name == second:
-        return (seg[1], seg[0])
-    return None
-
-
-def _match_commute(params, seg, direction):
-    return _match_swap(params[0], params[1], seg, direction)
-
-
-def _match_central(params, seg, direction):
-    return _match_swap(params[0], params[1], seg, direction)
-
-
-def _match_commute_h(params, seg, direction):
-    return _match_swap("h", params[0], seg, direction)
-
-
-def _match_braid(params, seg, direction):
-    b, ai = params
-    outer, inner = (b, ai) if direction is Direction.LR else (ai, b)
-    e = seg[0].sign
-    if (seg[0].name, seg[1].name, seg[2].name) == (outer, inner, outer) \
-            and seg[1].sign == e and seg[2].sign == e:
-        return (Letter(inner, e), Letter(outer, e), Letter(inner, e))
-    return None
-
-
-def _match_star(params, seg, direction):
-    if direction is Direction.LR:
-        if seg == tuple(Letter(c, 1) for c in _BOUNDARY):
-            return tuple(Letter(g, 1) for g in _STAR_RHS)
-        if seg == tuple(Letter(c, -1) for c in reversed(_BOUNDARY)):
-            return tuple(Letter(g, -1) for g in reversed(_STAR_RHS))
-    else:
-        if seg == tuple(Letter(g, 1) for g in _STAR_RHS):
-            return tuple(Letter(c, 1) for c in _BOUNDARY)
-        if seg == tuple(Letter(g, -1) for g in reversed(_STAR_RHS)):
-            return tuple(Letter(c, -1) for c in reversed(_BOUNDARY))
-    return None
-
-
-def _match_conj_reflect(params, seg, direction):
-    (g,) = params
-    if direction is Direction.LR:
-        if seg[0] == Letter("r", 1) and seg[2] == Letter("r", 1) and seg[1].name == g:
-            return (Letter(SIGMA[g], -seg[1].sign),)
-    else:
-        if seg[0].name == SIGMA[g]:
-            return (Letter("r", 1), Letter(g, -seg[0].sign), Letter("r", 1))
-    return None
-
-
-def _match_reverse_s(params, seg, direction):
-    (c,) = params
-    if direction is Direction.LR:
-        if seg[0] == Letter("s", 1) and seg[2] == Letter("s", -1) and seg[1].name == c:
-            return (Letter(c, -seg[1].sign),)
-    else:
-        if seg[0].name == c:
-            return (Letter("s", 1), Letter(c, -seg[0].sign), Letter("s", -1))
-    return None
-
-
-def _match_free_red(params, seg, direction):
-    lt = letter(params[0])
-    pair = (Letter(lt.name, 1), Letter(lt.name, 1)) if lt.name == "r" \
-        else (lt, lt.inverse())
-    if direction is Direction.LR:
-        return () if seg == pair else None
-    return pair  # insertion matches the empty segment anywhere
-
-
-_MATCHERS = {
-    "COMMUTE": _match_commute,
-    "BRAID": _match_braid,
-    "STAR": _match_star,
-    "CENTRAL": _match_central,
-    "CONJ_REFLECT": _match_conj_reflect,
-    "REVERSE_S": _match_reverse_s,
-    "COMMUTE_H": _match_commute_h,
-    "FREE_RED": _match_free_red,
-}
+        return table.get(letters[pos:pos + n])
 
 
 @dataclass(frozen=True)
@@ -333,11 +236,10 @@ def verify_script(script: ProofScript) -> VerificationReport:
 
 
 class Presentation:
-    """An immutable rule table over an alphabet."""
+    """An immutable rule table."""
 
-    def __init__(self, name: str, alphabet: Alphabet, rules: Iterable[Rule]):
+    def __init__(self, name: str, rules: Iterable[Rule]):
         self.name = name
-        self.alphabet = alphabet
         self._rules: dict[tuple[str, tuple[str, ...]], Rule] = {}
         for rule in rules:
             self._rules[(rule.family, rule.params)] = rule
@@ -353,13 +255,11 @@ class Presentation:
         return tuple(self._rules.values())
 
 
-def _free_red_rules(names: Iterable[str], alphabet: Alphabet) -> list[Rule]:
+def _free_red_rules(names: Iterable[str]) -> list[Rule]:
     out = []
     for name in names:
-        if alphabet.is_involution(name):
-            out.append(Rule("FREE_RED", (name,)))
-        else:
-            out.append(Rule("FREE_RED", (name,)))
+        out.append(Rule("FREE_RED", (name,)))
+        if name in _INVERTIBLE:
             out.append(Rule("FREE_RED", (f"{name}^-1",)))
     return out
 
@@ -386,9 +286,8 @@ def torus_presentation(with_h: bool = False) -> Presentation:
         for g in _TORUS_GENS:
             rules.append(Rule("COMMUTE_H", (g,)))
         names.append("h")
-    rules.extend(_free_red_rules(names, DEFAULT_ALPHABET))
-    name = "torus+h" if with_h else "torus"
-    return Presentation(name, DEFAULT_ALPHABET, rules)
+    rules.extend(_free_red_rules(names))
+    return Presentation("torus+h" if with_h else "torus", rules)
 
 
 @lru_cache(maxsize=None)
@@ -396,8 +295,8 @@ def even_power_presentation() -> Presentation:
     """Rules for the even-power certificates: the designated curve c and
     its neighbourhood-reversing homeomorphism s."""
     rules = [Rule("REVERSE_S", ("c",))]
-    rules.extend(_free_red_rules(["c", "s"], DEFAULT_ALPHABET))
-    return Presentation("even-power", DEFAULT_ALPHABET, rules)
+    rules.extend(_free_red_rules(["c", "s"]))
+    return Presentation("even-power", rules)
 
 
 # --- script text format ----------------------------------------------------
@@ -414,6 +313,11 @@ _STEP_RE = re.compile(r"step (\d+): ([A-Z_]+)\(([^)]*)\) (LR|RL) @ (\d+)$")
 
 class ScriptSyntaxError(ValueError):
     pass
+
+
+def fixture_path(name: str):
+    """Path of a bundled proof-script fixture, e.g. ``chain_a.proof``."""
+    return Path(__file__).parent / "fixtures" / name
 
 
 def format_script(script: ProofScript) -> str:
@@ -435,11 +339,11 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
         if line.startswith("start:"):
             if start is not None:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate start line")
-            start = word(line[len("start:"):].strip(), presentation.alphabet)
+            start = word(line[len("start:"):].strip())
         elif line.startswith("end:"):
             if end is not None:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate end line")
-            end = word(line[len("end:"):].strip(), presentation.alphabet)
+            end = word(line[len("end:"):].strip())
         else:
             m = _STEP_RE.match(line)
             if not m:

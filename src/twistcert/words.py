@@ -86,9 +86,6 @@ class Alphabet:
         gen = self._table.get(name)
         return gen is not None and gen.kind is GeneratorKind.REFLECTION
 
-    def extended(self, *generators: Generator) -> "Alphabet":
-        return Alphabet(list(self._table.values()) + list(generators))
-
 
 def twist(name: str, curve: str | None = None) -> Generator:
     return Generator(name, GeneratorKind.TWIST, curve if curve is not None else name)
@@ -160,17 +157,17 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         return power(self, n)
 
-    def is_reduced(self, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
-        return free_reduce(self, alphabet) == self
+    def is_reduced(self) -> bool:
+        return free_reduce(self) == self
 
 
-def word(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def word(text: str) -> Word:
     """Parse the word grammar.  Unknown generator names are rejected."""
     tokens = text.split()
-    return Word(tuple(_parse_tokens(tokens, 0, len(tokens), alphabet)))
+    return Word(tuple(_parse_tokens(tokens, 0, len(tokens))))
 
 
-def _parse_tokens(tokens: list[str], lo: int, hi: int, alphabet: Alphabet) -> list[Letter]:
+def _parse_tokens(tokens: list[str], lo: int, hi: int) -> list[Letter]:
     out: list[Letter] = []
     i = lo
     while i < hi:
@@ -190,14 +187,14 @@ def _parse_tokens(tokens: list[str], lo: int, hi: int, alphabet: Alphabet) -> li
             m = re.fullmatch(r"\)\^(-?\d+)", close)
             if not m:
                 raise WordSyntaxError(f"expected ')^<int>' after group, found {close!r}")
-            inner = Word(tuple(_parse_tokens(tokens, i + 1, j, alphabet)))
-            out.extend(power(inner, int(m.group(1)), alphabet).letters)
+            inner = Word(tuple(_parse_tokens(tokens, i + 1, j)))
+            out.extend(power(inner, int(m.group(1))).letters)
             i = j + 1
         elif tok.startswith(")"):
             raise WordSyntaxError("unbalanced ')' in word")
         else:
             lt = letter(tok)
-            if lt.name not in alphabet:
+            if lt.name not in DEFAULT_ALPHABET:
                 raise WordSyntaxError(f"unknown generator {lt.name!r}")
             out.append(lt)
             i += 1
@@ -212,44 +209,44 @@ def concat(*words: Word) -> Word:
     return Word(tuple(letters))
 
 
-def _cancels(a: Letter, b: Letter, alphabet: Alphabet) -> bool:
+def _cancels(a: Letter, b: Letter) -> bool:
     if a.name != b.name:
         return False
-    if alphabet.is_involution(a.name):
+    if DEFAULT_ALPHABET.is_involution(a.name):
         return True  # signs are already normalised to +1
     return a.sign == -b.sign
 
 
-def free_reduce(w: Word, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def free_reduce(w: Word) -> Word:
     """Unique reduced form: cancel adjacent inverse pairs, r r pairs, and
     normalise involution exponents to +1.  Idempotent; never lengthens."""
     out: list[Letter] = []
     for lt in w.letters:
-        if lt.sign < 0 and alphabet.is_involution(lt.name):
+        if lt.sign < 0 and DEFAULT_ALPHABET.is_involution(lt.name):
             lt = Letter(lt.name, 1)
-        if out and _cancels(out[-1], lt, alphabet):
+        if out and _cancels(out[-1], lt):
             out.pop()
         else:
             out.append(lt)
     return Word(tuple(out))
 
 
-def invert(w: Word, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def invert(w: Word) -> Word:
     """Group inverse (reduced): reverse the word and invert each letter."""
-    return free_reduce(Word(tuple(lt.inverse() for lt in reversed(w.letters))), alphabet)
+    return free_reduce(Word(tuple(lt.inverse() for lt in reversed(w.letters))))
 
 
-def power(w: Word, n: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def power(w: Word, n: int) -> Word:
     """n-th power, reduced.  Negative n raises the inverse to |n|."""
-    base = invert(w, alphabet) if n < 0 else free_reduce(w, alphabet)
-    return free_reduce(concat(*([base] * abs(n))), alphabet)
+    base = invert(w) if n < 0 else free_reduce(w)
+    return free_reduce(concat(*([base] * abs(n))))
 
 
-def commutator(x: Word, y: Word, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1, reduced."""
-    return free_reduce(concat(x, y, invert(x, alphabet), invert(y, alphabet)), alphabet)
+    return free_reduce(concat(x, y, invert(x), invert(y)))
 
 
-def conjugate(w: Word, by: Word, alphabet: Alphabet = DEFAULT_ALPHABET) -> Word:
+def conjugate(w: Word, by: Word) -> Word:
     """by . w . by^-1, reduced."""
-    return free_reduce(concat(by, w, invert(by, alphabet)), alphabet)
+    return free_reduce(concat(by, w, invert(by)))

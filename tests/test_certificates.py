@@ -205,6 +205,26 @@ def test_forced_rh_membership_requires_the_rh_shape():
     assert not report.ok
 
 
+def test_empty_claim_with_an_empty_script_fails():
+    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    empty = ProofScript(Word(), (), Word())
+    bad = replace(cert, target=Word(), x=Word(), y=Word(), script=empty)
+    report = verify_certificate(bad)
+    assert not report.ok and "target" in report.message
+
+
+def test_certificate_with_an_edited_n_fails():
+    cert = build_theorem1_certificate(O3, NONSEP, 3)
+    report = verify_certificate(replace(cert, n=5))
+    assert not report.ok and "n = 5" in report.message
+
+
+def test_recorded_homology_failure_fails():
+    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    report = verify_certificate(replace(cert, homology_ok=False))
+    assert not report.ok and "homology-check" in report.message
+
+
 # --- cross-checks -------------------------------------------------------------
 
 

@@ -112,7 +112,9 @@ def test_illegal_rule_instances_are_rejected():
                            ("BRAID", ("b", "c1")),
                            ("CENTRAL", ("b", "a1")),       # b is not a boundary twist
                            ("CONJ_REFLECT", ("h",)),
-                           ("COMMUTE", ("a1", "a1"))]:
+                           ("COMMUTE", ("a1", "a1")),
+                           ("REVERSE_S", ("b",)),           # b is not the designated curve
+                           ("FREE_RED", ("zz",))]:          # zz is no generator
         with pytest.raises(ValueError):
             Rule(family, params)
 
