@@ -38,10 +38,10 @@ from .presentation import (
     ProofScript,
     ProofStep,
     Rule,
-    apply_rule,
     even_power_presentation,
     fixture_path,
     parse_script,
+    rewrite,
     torus_presentation,
     verify_script,
 )
@@ -107,25 +107,23 @@ CHAIN_B_MIRROR = mirror_local_steps(CHAIN_B_STEPS, len(_CHAIN_B.start))
 
 class ScriptBuilder:
     """Accumulates proof steps while applying them to a live word, so every
-    emitted position is checked against the actual current word."""
+    emitted position is checked against the actual current word.  The word
+    is one list of letters that each step rewrites in place; a step that
+    does not fit raises and leaves it unchanged."""
 
     def __init__(self, start: Word, presentation: Presentation):
         self.presentation = presentation
         self.start = start
-        self._word = start
+        self.letters = list(start.letters)
         self._steps: list[ProofStep] = []
 
-    @property
-    def letters(self):
-        return self._word.letters
-
     def word(self) -> Word:
-        return self._word
+        return Word(tuple(self.letters))
 
     def apply(self, family: str, params: tuple[str, ...], direction: Direction,
               position: int) -> None:
         step = ProofStep(self.presentation.rule(family, params), direction, position)
-        self._word = apply_rule(self._word, step)
+        rewrite(self.letters, step)
         self._steps.append(step)
 
     def apply_local(self, steps: Iterable[LocalStep], offset: int = 0) -> None:
@@ -134,13 +132,13 @@ class ScriptBuilder:
 
     def apply_steps(self, steps: Iterable[ProofStep]) -> None:
         for step in steps:
-            self._word = apply_rule(self._word, step)
+            rewrite(self.letters, step)
             self._steps.append(step)
 
     def finish(self, end: Word) -> ProofScript:
-        if self._word != end:
+        if self.word() != end:
             raise AssertionError(
-                f"script builder ended at {self._word}, expected {end}")
+                f"script builder ended at {self.word()}, expected {end}")
         return ProofScript(self.start, tuple(self._steps), end)
 
 
@@ -158,7 +156,7 @@ def _central_rearrange(builder: ScriptBuilder, target: Sequence) -> None:
     for i, want in enumerate(target):
         if builder.letters[i] == want:
             continue
-        j = next(k for k in range(i + 1, len(target)) if builder.letters[k] == want)
+        j = builder.letters.index(want, i + 1)
         for jj in range(j, i, -1):
             left, mover = builder.letters[jj - 1], builder.letters[jj]
             if _is_central(mover):
@@ -402,7 +400,8 @@ class CertificateReport:
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
-    """Re-derive the claim from n and the case, replay the script, re-run
+    """Re-derive the claim from n and the case, replay the script, check
+    that each of its rules belongs to the flavour's presentation, re-run
     the case selection and the homology shadow, and re-check the
     determinant membership record.  Failure is a report state, even for
     malformed certificates."""
@@ -420,6 +419,12 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     report = verify_script(cert.script)
     if not report.ok:
         problems.append(f"script replay failed: {report.message}")
+    presentation = _flavor_presentation(cert)
+    foreign_step = _foreign_rule_step(cert.script, presentation)
+    if foreign_step is not None:
+        rule = cert.script.steps[foreign_step - 1].rule
+        problems.append(f"step {foreign_step} uses {rule.render()}, which is not in "
+                        f"presentation {presentation.name!r}")
 
     from .homology import ASSIGNMENTS
 
@@ -454,8 +459,10 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
 
     ok = not problems
     message = "; ".join(problems) if problems else "claim, script, homology and membership verified"
-    return CertificateReport(ok, report.ok, homology_ok, membership_ok,
-                             report.failed_step, message)
+    failed_step = min((i for i in (report.failed_step, foreign_step) if i is not None),
+                      default=None)
+    return CertificateReport(ok, report.ok and foreign_step is None, homology_ok,
+                             membership_ok, failed_step, message)
 
 
 _CASE_FLAVOR = {"extended-group": "extended-group", "twist-subgroup": "twist-subgroup",
@@ -480,6 +487,26 @@ def _case_problems(cert: Certificate) -> list[str]:
     if cert.flavor == "even-power-twist" and not cert.case.twist_admissible:
         return ["even-power twist certificate on an inadmissible complement"]
     return []
+
+
+def _flavor_presentation(cert: Certificate) -> Presentation:
+    """The rules a certificate's script may use: h rules only when y is
+    a1^-1 r h."""
+    if cert.flavor.startswith("even-power"):
+        return even_power_presentation()
+    return torus_presentation(with_h=cert.case.y_choice == "rh")
+
+
+def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int | None:
+    """1-based index of the first step whose rule is not in
+    ``presentation``, or None."""
+    steps = script.steps
+    # scripts share a few hundred rule objects: test each distinct one once
+    distinct = {id(step.rule): step.rule for step in steps}
+    foreign = {key for key, rule in distinct.items() if rule not in presentation}
+    if not foreign:
+        return None
+    return next(i for i, step in enumerate(steps, start=1) if id(step.rule) in foreign)
 
 
 def _claim_problems(cert: Certificate) -> list[str]:

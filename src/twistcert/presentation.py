@@ -22,7 +22,8 @@ every segment it rewrites to the replacement, so matching is one lookup.
 
 A proof script is a start word, a step list and an end word; replaying
 the steps must reproduce the end word letter for letter -- there is no
-implicit reduction.
+implicit reduction.  Replay rewrites one list of letters in place with
+:func:`rewrite`, so a step costs its segment, not the whole word.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .words import DEFAULT_ALPHABET, Letter, Word, letter, word
 
@@ -134,9 +135,12 @@ class Rule:
 
     family: str
     params: tuple[str, ...] = ()
-    # every segment the rule rewrites, mapped to its replacement, per direction
+    # every segment the rule rewrites, mapped to its replacement, and the
+    # length of those segments, per direction
     _lr: dict = field(init=False, repr=False, compare=False)
     _rl: dict = field(init=False, repr=False, compare=False)
+    _lr_len: int = field(init=False, repr=False, compare=False)
+    _rl_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         equations = _equations(self.family, self.params)
@@ -147,8 +151,11 @@ class Rule:
             for e, f in product((1, -1), repeat=2):
                 signs = {"e": e, "f": f}
                 lr[_letters(lhs, signs)] = _letters(rhs, signs)
+        seg, repl = next(iter(lr.items()))
         object.__setattr__(self, "_lr", lr)
         object.__setattr__(self, "_rl", {rhs: lhs for lhs, rhs in lr.items()})
+        object.__setattr__(self, "_lr_len", len(seg))
+        object.__setattr__(self, "_rl_len", len(repl))
 
     def render(self) -> str:
         return f"{self.family}({','.join(self.params)})"
@@ -159,16 +166,19 @@ class Rule:
         return self._lr if direction is Direction.LR else self._rl
 
     def pattern_len(self, direction: Direction) -> int:
-        return len(next(iter(self.rewrites(direction))))
+        return self._lr_len if direction is Direction.LR else self._rl_len
 
-    def match(self, letters: tuple[Letter, ...], pos: int, direction: Direction
+    def match(self, letters: Sequence[Letter], pos: int, direction: Direction
               ) -> tuple[Letter, ...] | None:
         """Return the replacement letters if the pattern matches at pos."""
-        table = self.rewrites(direction)
-        n = len(next(iter(table)))
+        if direction is Direction.LR:
+            table, n = self._lr, self._lr_len
+        else:
+            table, n = self._rl, self._rl_len
+        # a negative pos would wrap around; FREE_RED RL matches the empty segment
         if pos < 0 or pos + n > len(letters):
             return None
-        return table.get(letters[pos:pos + n])
+        return table.get(tuple(letters[pos:pos + n]))
 
 
 @dataclass(frozen=True)
@@ -195,16 +205,24 @@ class ProofScript:
         return ProofScript(self.end, tuple(s.inverted() for s in reversed(self.steps)), self.start)
 
 
+def rewrite(letters: list[Letter], step: ProofStep) -> None:
+    """Apply one step to ``letters`` in place; raise :class:`PatternMismatch`,
+    leaving ``letters`` untouched, if it does not fit."""
+    rule, direction, pos = step.rule, step.direction, step.position
+    repl = rule.match(letters, pos, direction)
+    n = rule.pattern_len(direction)
+    if repl is None:
+        found = " ".join(str(lt) for lt in letters[pos:pos + n])
+        raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
+                              found or "<out of range>")
+    letters[pos:pos + n] = repl
+
+
 def apply_rule(w: Word, step: ProofStep) -> Word:
     """Apply one step; raise :class:`PatternMismatch` if it does not fit."""
-    repl = step.rule.match(w.letters, step.position, step.direction)
-    if repl is None:
-        n = step.rule.pattern_len(step.direction)
-        found = " ".join(str(lt) for lt in w.letters[step.position:step.position + n])
-        raise PatternMismatch(step.position, f"{step.rule.render()} {step.direction.value}",
-                              found or "<out of range>")
-    pos, n = step.position, step.rule.pattern_len(step.direction)
-    return Word(w.letters[:pos] + repl + w.letters[pos + n:])
+    letters = list(w.letters)
+    rewrite(letters, step)
+    return Word(tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -222,12 +240,13 @@ class VerificationReport:
 def verify_script(script: ProofScript) -> VerificationReport:
     """Replay every step from the start word; the result must equal the end
     word exactly.  Failure is a report state, never an exception."""
-    current = script.start
+    letters = list(script.start.letters)
     for i, step in enumerate(script.steps, start=1):
         try:
-            current = apply_rule(current, step)
+            rewrite(letters, step)
         except PatternMismatch as exc:
-            return VerificationReport(False, i, str(exc), current)
+            return VerificationReport(False, i, str(exc), Word(tuple(letters)))
+    current = Word(tuple(letters))
     if current != script.end:
         return VerificationReport(
             False, len(script.steps) + 1,
@@ -253,6 +272,9 @@ class Presentation:
 
     def rules(self) -> tuple[Rule, ...]:
         return tuple(self._rules.values())
+
+    def __contains__(self, rule: Rule) -> bool:
+        return (rule.family, rule.params) in self._rules
 
 
 def _free_red_rules(names: Iterable[str]) -> list[Rule]:
@@ -332,6 +354,8 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
     start: Word | None = None
     end: Word | None = None
     steps: list[ProofStep] = []
+    # each distinct "RULE(params) DIR" text is resolved once per script
+    resolved: dict[tuple[str, str, str], tuple[Rule, Direction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -351,9 +375,13 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
             k, family, params_text, direction, pos = m.groups()
             if int(k) != len(steps) + 1:
                 raise ScriptSyntaxError(f"line {lineno}: step label {k}, expected {len(steps) + 1}")
-            params = tuple(p.strip() for p in params_text.split(",")) if params_text.strip() else ()
-            rule = presentation.rule(family, params)
-            steps.append(ProofStep(rule, Direction(direction), int(pos)))
+            key = (family, params_text, direction)
+            if key not in resolved:
+                params = (tuple(p.strip() for p in params_text.split(","))
+                          if params_text.strip() else ())
+                resolved[key] = (presentation.rule(family, params), Direction(direction))
+            rule, dirn = resolved[key]
+            steps.append(ProofStep(rule, dirn, int(pos)))
     if start is None or end is None:
         raise ScriptSyntaxError("script needs both a start and an end line")
     return ProofScript(start, tuple(steps), end)

@@ -7,8 +7,10 @@ import pytest
 
 from twistcert import (
     CurveClass,
+    Direction,
     OutOfScope,
     ProofScript,
+    ProofStep,
     SurfaceSpec,
     Word,
     build_even_power_certificate,
@@ -21,11 +23,13 @@ from twistcert import (
     evaluate_rep,
     genus3_assignment,
     power,
+    torus_presentation,
     verify_certificate,
     verify_script,
     word,
 )
 from twistcert.certificates import P_WORD, Q_WORD
+from twistcert.cli import format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
 from test_words import random_word
@@ -223,6 +227,49 @@ def test_recorded_homology_failure_fails():
     cert = build_theorem1_certificate(O3, NONSEP, 2)
     report = verify_certificate(replace(cert, homology_ok=False))
     assert not report.ok and "homology-check" in report.message
+
+
+def with_detour(cert, presentation, detour):
+    """``cert`` with ``detour`` -- steps that return to the start word --
+    replayed before its script."""
+    steps = tuple(ProofStep(presentation.rule(family, params), Direction(direction), pos)
+                  for family, params, direction, pos in detour)
+    return replace(cert, script=replace(cert.script, steps=steps + cert.script.steps))
+
+
+H_DETOUR = [("FREE_RED", ("h",), "RL", 0), ("COMMUTE_H", ("b",), "LR", 1),
+            ("COMMUTE_H", ("b",), "RL", 1), ("FREE_RED", ("h",), "LR", 0)]
+
+
+@pytest.mark.parametrize("cert, presentation, detour", [
+    (build_theorem1_certificate(O3, NONSEP, 2), torus_presentation(True), H_DETOUR),
+    (build_theorem2_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1),
+     torus_presentation(True), H_DETOUR),
+    (build_even_power_certificate(N7, NONSEP_NC, 2, "twist"), torus_presentation(),
+     [("FREE_RED", ("b",), "RL", 0), ("FREE_RED", ("b",), "LR", 0)]),
+], ids=["extended-group", "twist-subgroup-r", "even-power-twist"])
+def test_rules_outside_the_flavour_presentation_fail(cert, presentation, detour):
+    bad = with_detour(cert, presentation, detour)
+    assert verify_script(bad.script).ok  # the detour replays; only membership catches it
+    report = verify_certificate(bad)
+    assert not report.ok and not report.script_ok and report.failed_step == 1
+    assert f"step 1 uses {detour[0][0]}({detour[0][1][0]})" in report.message
+
+
+@pytest.mark.parametrize("cert", [build_theorem1_certificate(O3, NONSEP, 2),
+                                  build_theorem2_certificate(SurfaceSpec(False, 6),
+                                                             NONSEP_OC, 1)])
+def test_h_rules_without_h_fail_after_a_text_round_trip(cert):
+    # the text parser resolves every torus flavour against the rules with h
+    text = format_certificate(with_detour(cert, torus_presentation(True), H_DETOUR))
+    report = verify_certificate(parse_certificate(text))
+    assert not report.ok and "step 1 uses FREE_RED(h)" in report.message
+
+
+def test_h_rules_are_allowed_when_y_carries_h():
+    cert = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    assert cert.case.y_choice == "rh"
+    assert verify_certificate(with_detour(cert, torus_presentation(True), H_DETOUR)).ok
 
 
 # --- cross-checks -------------------------------------------------------------

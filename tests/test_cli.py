@@ -1,8 +1,11 @@
 """Command dispatch, exit codes, deterministic output, file round-trips."""
 
+from dataclasses import replace
+
 from twistcert import fixture_path
 from twistcert.cli import format_certificate, parse_certificate, run
-from twistcert import build_theorem2_certificate, CurveClass, SurfaceSpec
+from twistcert import (build_theorem1_certificate, build_theorem2_certificate, CurveClass,
+                       Direction, ProofStep, SurfaceSpec, torus_presentation)
 
 
 def invoke(capsys, *argv):
@@ -127,6 +130,21 @@ def test_tampered_certificate_fails_verification(tmp_path, capsys):
     path.write_text(tampered)
     code, out, _ = invoke(capsys, "verify-cert", str(path))
     assert code == 1 and "FAIL" in out
+
+
+def test_certificate_using_h_rules_without_h_fails_verification(tmp_path, capsys):
+    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2)
+    pres = torus_presentation(with_h=True)
+    # insert h h^-1, move h^-1 past b and back, cancel it: the script still replays
+    detour = (ProofStep(pres.rule("FREE_RED", ("h",)), Direction.RL, 0),
+              ProofStep(pres.rule("COMMUTE_H", ("b",)), Direction.LR, 1),
+              ProofStep(pres.rule("COMMUTE_H", ("b",)), Direction.RL, 1),
+              ProofStep(pres.rule("FREE_RED", ("h",)), Direction.LR, 0))
+    bad = replace(cert, script=replace(cert.script, steps=detour + cert.script.steps))
+    path = tmp_path / "detour.txt"
+    path.write_text(format_certificate(bad))
+    code, out, _ = invoke(capsys, "verify-cert", str(path))
+    assert code == 1 and "step 1 uses FREE_RED(h)" in out
 
 
 def test_certificate_format_round_trip():

@@ -20,6 +20,7 @@ from twistcert import (
     verify_script,
     word,
 )
+from twistcert.certificates import ScriptBuilder
 from twistcert.presentation import SIGMA, Rule
 
 from test_words import random_word
@@ -180,6 +181,56 @@ def test_script_parser_rejects_bad_labels():
 def test_inverted_script_replays_backwards():
     script = load_fixture("chain_a.proof")
     assert verify_script(script.inverted()).ok
+
+
+# --- in-place replay ------------------------------------------------------------
+#
+# Replay rewrites one list of letters with slice assignment, which wraps a
+# negative index and would write a partial segment if a check came late.
+
+
+@pytest.mark.parametrize("pos", [-1, 3])
+def test_free_red_insertion_outside_the_word_is_rejected(pos):
+    # FREE_RED RL has an empty pattern, so only the bounds check stops it
+    start = word("a1 a2")
+    script = ProofScript(start, (step("COMMUTE", ("a1", "a2"), "LR", 0),
+                                 step("FREE_RED", ("b",), "RL", pos)), word("a2 a1 b b^-1"))
+    report = verify_script(script)
+    assert not report.ok and report.failed_step == 2
+    assert report.message == f"expected FREE_RED(b) RL at position {pos}, found <out of range>"
+    assert report.final == word("a2 a1")
+
+
+@pytest.mark.parametrize("pos, found", [(0, "a2 a1 b"), (1, "a1 b")])
+def test_mismatch_reports_the_word_before_the_failed_step(pos, found):
+    script = ProofScript(word("a1 a2 b"), (step("COMMUTE", ("a1", "a2"), "LR", 0),
+                                           step("BRAID", ("b", "a1"), "LR", pos)), word("b"))
+    report = verify_script(script)
+    assert not report.ok and report.failed_step == 2
+    assert report.message == f"expected BRAID(b,a1) LR at position {pos}, found {found}"
+    assert report.final == word("a2 a1 b")
+
+
+def test_builder_word_is_unchanged_after_a_failed_step():
+    builder = ScriptBuilder(word("a1 a2 b"), TORUS)
+    builder.apply("COMMUTE", ("a1", "a2"), Direction.LR, 0)
+    for family, params, direction, pos in [("BRAID", ("b", "a1"), Direction.LR, 1),
+                                           ("FREE_RED", ("b",), Direction.RL, -1),
+                                           ("FREE_RED", ("b",), Direction.RL, 4)]:
+        with pytest.raises(PatternMismatch):
+            builder.apply(family, params, direction, pos)
+        assert builder.word() == word("a2 a1 b")
+    script = builder.finish(word("a2 a1 b"))
+    assert script.steps == (step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS),)
+
+
+def test_match_reads_lists_and_tuples_alike():
+    rule = TORUS.rule("BRAID", ("b", "a1"))
+    letters = word("a2 b a1 b").letters
+    for pos in range(-1, len(letters) + 1):
+        assert rule.match(list(letters), pos, Direction.LR) == rule.match(letters, pos,
+                                                                          Direction.LR)
+    assert rule.match(list(letters), 1, Direction.LR) == word("a1 b a1").letters
 
 
 # --- bounded bidirectional search --------------------------------------------
