@@ -1,20 +1,30 @@
-"""Commutator certificates: t^n about the distinguished boundary curve
-equals a single commutator, with a replayable proof script and exact
-homology and determinant checks attached.
+"""Commutator certificates: a power of the distinguished twist equals a
+single commutator, with a replayable proof script and exact homology and
+determinant checks attached.
 
-The three builders:
+Every certificate claims target = [x, y], and what it claims depends on
+the case's y-choice alone.  ``CLAIMS`` states it once per choice, with
+P = b a2 a3 b a1 a2 c2^-1:
 
-* ``build_theorem1_certificate`` -- extended-group flavour, X = P^n and
-  Y = a1^-1 r, where P = b a2 a3 b a1 a2 c2^-1;
-* ``build_theorem2_certificate`` -- twist-subgroup flavour, Y picks up the
-  commuting complement homeomorphism h when the reflection's determinant
-  is -1 (or unrecorded);
-* ``build_even_power_certificate`` -- even powers of any twist, X = c^n
-  and Y = s with s c s^-1 = c^-1.
+* ``r``  -- c1^n = [P^n, a1^-1 r], over the ``torus`` rules, checked in
+  the ``genus3`` homology model (the extended group, and the twist
+  subgroup when the reflection acts with determinant +1);
+* ``rh`` -- c1^n = [P^n, a1^-1 r h], over ``torus+h`` in ``genus3-h``
+  (the twist subgroup when that determinant is -1 or unrecorded; h is
+  the commuting complement homeomorphism);
+* ``s``  -- c^(2n) = [c^n, s] with s c s^-1 = c^-1, over ``even-power``
+  in ``curve-reverser``, for even powers of any twist.
+
+``build_certificate`` is the one path that assembles a certificate: it
+selects the case for the flavour, reads the case's row and, for the
+twist-subgroup flavours, records the determinants that decide
+membership (``_membership``).  ``verify_certificate`` selects the case
+afresh and checks the certificate against the same row.
 
 All scripts are generated for the concrete exponent: the builder applies
-each step as it emits it, so a bad position is a build-time error, never a
-silent corruption.  ``build_rel1`` produces the underlying factorisation
+each step as it emits it, so a bad position or a rule outside the row's
+rule set is a build-time error, never a silent corruption.
+``build_rel1`` produces the underlying factorisation
 c1^n = (P)^n (Q)^n with Q = c3^-1 b a2 a3 b a1 a2; the commutator scripts
 replay it backwards after rewriting the conjugated half.
 """
@@ -22,23 +32,15 @@ replay it backwards after rewriting the conjugated half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .homology import (
-    HomologyAssignment,
-    curve_reverser_assignment,
-    det_hom,
-    evaluate_rep,
-    genus3_assignment,
-    genus3_with_h_assignment,
-)
+from .homology import ASSIGNMENTS, HomologyAssignment, det_hom, evaluate_rep
 from .presentation import (
+    PRESENTATIONS,
     Direction,
     Presentation,
     ProofScript,
     ProofStep,
-    Rule,
-    even_power_presentation,
     fixture_path,
     parse_script,
     rewrite,
@@ -46,19 +48,16 @@ from .presentation import (
     verify_script,
 )
 from .surfaces import CurveClass, OutOfScope, SurfaceSpec, TheoremCase, select_case
-from .words import Word, commutator, concat, invert, power, word
+from .words import Word, commutator, concat, power, word
 
 P_WORD = word("b a2 a3 b a1 a2 c2^-1")
 Q_WORD = word("c3^-1 b a2 a3 b a1 a2")
 C1 = word("c1")
 _C = word("c")
-_S = word("s")
 _CENTRAL_NAMES = ("c1", "c2", "c3")
 
-LocalStep = tuple[str, tuple[str, ...], Direction, int]
 
-
-def mirror_local_steps(steps: Iterable[LocalStep], window_len: int) -> tuple[LocalStep, ...]:
+def mirror_local_steps(steps: Iterable[ProofStep], window_len: int) -> tuple[ProofStep, ...]:
     """Steps proving u -> v, transformed to prove u^-1 -> v^-1.
 
     Inverting a word reverses it and flips every sign, so a step at
@@ -66,10 +65,10 @@ def mirror_local_steps(steps: Iterable[LocalStep], window_len: int) -> tuple[Loc
     must rewrite each inverted segment into the inverted replacement: the
     mirrored step takes the direction of the same rule that does so.
     """
-    out: list[LocalStep] = []
+    out: list[ProofStep] = []
     length = window_len
-    for family, params, direction, pos in steps:
-        rule = Rule(family, params)
+    for step in steps:
+        rule, direction = step.rule, step.direction
         rewrites = rule.rewrites(direction).items()
         mirrored = next((d for d in (direction, direction.flipped())
                          if all(rule.rewrites(d).get(_inverse(seg)) == _inverse(repl)
@@ -77,7 +76,7 @@ def mirror_local_steps(steps: Iterable[LocalStep], window_len: int) -> tuple[Loc
         if mirrored is None:
             raise ValueError(f"{rule.render()} {direction.value} steps cannot be mirrored")
         seg, repl = next(iter(rewrites))
-        out.append((family, params, mirrored, length - pos - len(seg)))
+        out.append(ProofStep(rule, mirrored, length - step.position - len(seg)))
         length += len(repl) - len(seg)
     return tuple(out)
 
@@ -86,20 +85,16 @@ def _inverse(letters):
     return tuple(lt.inverse() for lt in reversed(letters))
 
 
-def _local_steps(steps: Iterable[ProofStep]) -> tuple[LocalStep, ...]:
-    return tuple((s.rule.family, s.rule.params, s.direction, s.position) for s in steps)
-
-
 # The two derivation chains ship as proof-script fixtures, their only source.
 _CHAIN_A = parse_script(fixture_path("chain_a.proof").read_text(), torus_presentation())
 _CHAIN_B = parse_script(fixture_path("chain_b.proof").read_text(), torus_presentation())
 
 # the star expansion (b a1 a2 a3)^3 rewritten to the squared word
 # (b a2 a3 b a1 a2)^2, on a 12-letter window: chain A after its STAR step
-CHAIN_A_TAIL = _local_steps(_CHAIN_A.steps[1:])
+CHAIN_A_TAIL = _CHAIN_A.steps[1:]
 # c3^-1 a3 a1 b a2 a3 b rewritten to a1 (c3^-1 b a2 a3 b a1 a2) a1^-1,
 # on a 7-letter window (grows to 9)
-CHAIN_B_STEPS = _local_steps(_CHAIN_B.steps)
+CHAIN_B_STEPS = _CHAIN_B.steps
 
 CHAIN_A_TAIL_MIRROR = mirror_local_steps(CHAIN_A_TAIL, len(_CHAIN_A.end))
 CHAIN_B_MIRROR = mirror_local_steps(CHAIN_B_STEPS, len(_CHAIN_B.start))
@@ -126,12 +121,10 @@ class ScriptBuilder:
         rewrite(self.letters, step)
         self._steps.append(step)
 
-    def apply_local(self, steps: Iterable[LocalStep], offset: int = 0) -> None:
-        for family, params, direction, pos in steps:
-            self.apply(family, params, direction, pos + offset)
-
-    def apply_steps(self, steps: Iterable[ProofStep]) -> None:
+    def apply_steps(self, steps: Iterable[ProofStep], offset: int = 0) -> None:
         for step in steps:
+            if offset:
+                step = ProofStep(step.rule, step.direction, step.position + offset)
             rewrite(self.letters, step)
             self._steps.append(step)
 
@@ -196,7 +189,7 @@ def build_rel1(n: int) -> Rel1:
             builder.apply("FREE_RED", ("c2",), Direction.RL, p + 1)
             builder.apply("FREE_RED", ("c3",), Direction.RL, p + 2)
             builder.apply("STAR", (), Direction.LR, p)
-            builder.apply_local(CHAIN_A_TAIL, offset=p)
+            builder.apply_steps(CHAIN_A_TAIL, offset=p)
         else:
             builder.apply("FREE_RED", ("c2^-1",), Direction.RL, p)
             builder.apply("CENTRAL", ("c2", "c1"), Direction.LR, p + 1)
@@ -204,7 +197,7 @@ def build_rel1(n: int) -> Rel1:
             builder.apply("CENTRAL", ("c3", "c2"), Direction.LR, p + 1)
             builder.apply("CENTRAL", ("c3", "c1"), Direction.LR, p + 2)
             builder.apply("STAR", (), Direction.LR, p)
-            builder.apply_local(CHAIN_A_TAIL_MIRROR, offset=p)
+            builder.apply_steps(CHAIN_A_TAIL_MIRROR, offset=p)
     _central_rearrange(builder, rhs.letters)
     return Rel1(n, lhs, rhs, builder.finish(rhs))
 
@@ -240,23 +233,86 @@ class Certificate:
     membership: MembershipRecord | None
 
 
-_Y_WORDS = {"r": word("a1^-1 r"), "rh": word("a1^-1 r h")}
+class Claim(NamedTuple):
+    """What a certificate of one y-choice asserts: target = [x, y] with
+    target = target_base^(multiplier n) and x = x_base^n, proved over the
+    ``rules`` presentation and shadowed in the ``assignment`` homology
+    model."""
+
+    target_base: Word
+    multiplier: int
+    x_base: Word
+    y: Word
+    rules: str
+    assignment: str
 
 
-def _commutator_script(x: Word, y_choice: str, n: int) -> ProofScript:
-    """Script from the written commutator [P^n, Y] down to c1^n."""
-    y = _Y_WORDS[y_choice]
-    start = commutator(x, y)
-    target = power(C1, n)
-    if n == 0:
-        return ProofScript(start, (), target)
-    if start.letters != concat(x, y, invert(x), invert(y)).letters:
-        raise AssertionError("commutator word unexpectedly reduced")
+CLAIMS = {
+    "r": Claim(C1, 1, P_WORD, word("a1^-1 r"), "torus", "genus3"),
+    "rh": Claim(C1, 1, P_WORD, word("a1^-1 r h"), "torus+h", "genus3-h"),
+    "s": Claim(_C, 2, _C, word("s"), "even-power", "curve-reverser"),
+}
 
+# the select_case flavour of each certificate flavour
+_CASE_FLAVOR = {"extended-group": "extended-group", "twist-subgroup": "twist-subgroup",
+                "even-power-extended": "even-power", "even-power-twist": "even-power"}
+
+
+def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass,
+                 r_det_override: int | None) -> TheoremCase:
+    """The case of a certificate flavour; raise OutOfScope if it has none."""
+    if flavor not in _CASE_FLAVOR:
+        raise ValueError(f"unknown certificate flavor {flavor!r}")
+    case = select_case(surface, curve, _CASE_FLAVOR[flavor], r_det_override)
+    if flavor == "even-power-twist" and not case.twist_admissible:
+        raise OutOfScope("the complement has no nonorientable piece of genus >= 2, "
+                         "so no curve-reversing map exists in the twist subgroup")
+    return case
+
+
+def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
+                surface: SurfaceSpec) -> MembershipRecord | None:
+    """The determinant record of a twist-subgroup flavour; None for the
+    flavours that carry none."""
+    if flavor == "even-power-twist":
+        return MembershipRecord(
+            1, 1, False,
+            "x is a twist power; s is chosen in the twist subgroup by composing "
+            "with a crosscap slide in the nonorientable complement piece")
+    if flavor != "twist-subgroup":
+        return None
+    det_x = det_hom(x, surface)  # twists only
+    if case.forced_rh:
+        return MembershipRecord(
+            det_x, None, True,
+            "reflection determinant unrecorded for this embedding; exactly one "
+            "of a1^-1 r and a1^-1 r h lies in the twist subgroup, and the "
+            "emitted rh form is the member whenever the reflection is not")
+    det_y = det_hom(y, surface, k=case.k, r_det=case.r_det)
+    return MembershipRecord(det_x, det_y, False,
+                            f"reflection determinant {case.r_det:+d} recorded for the embedding")
+
+
+def _commutator_script(y_choice: str, claim: Claim, x: Word, target: Word,
+                       n: int) -> ProofScript:
+    """Script from the written commutator [x, y] down to the target, over
+    the claim's rules."""
+    builder = ScriptBuilder(commutator(x, claim.y), PRESENTATIONS[claim.rules]())
     m = abs(n)
-    with_h = y_choice == "rh"
-    builder = ScriptBuilder(start, torus_presentation(with_h=True))
+    if y_choice == "s":
+        # each s c^(+-1) s^-1 collapses once the s^-1 s pairs are inserted
+        for gap in range(m - 1, 0, -1):
+            builder.apply("FREE_RED", ("s^-1",), Direction.RL, m + 1 + gap)
+        for pos in range(m, 2 * m):
+            builder.apply("REVERSE_S", ("c",), Direction.LR, pos)
+    elif m:
+        _reflection_phase(builder, n, with_h=y_choice == "rh")
+    return builder.finish(target)
 
+
+def _reflection_phase(builder: ScriptBuilder, n: int, with_h: bool) -> None:
+    """Rewrite [P^n, Y] down to c1^n."""
+    m = abs(n)
     if with_h:
         # h commutes with every twist letter of X^-1, then cancels into h^-1
         for i in range(7 * m):
@@ -277,7 +333,7 @@ def _commutator_script(x: Word, y_choice: str, n: int) -> ProofScript:
     # rewrite each conjugated block into a1 Q^(+-1) a1^-1 and cancel
     chain = CHAIN_B_STEPS if n > 0 else CHAIN_B_MIRROR
     for j in range(m):
-        builder.apply_local(chain, offset=7 * m + 1 + 9 * j)
+        builder.apply_steps(chain, offset=7 * m + 1 + 9 * j)
     for j in range(m + 1):
         builder.apply("FREE_RED", ("a1^-1",), Direction.LR, 7 * m + 7 * j)
 
@@ -286,53 +342,39 @@ def _commutator_script(x: Word, y_choice: str, n: int) -> ProofScript:
     if builder.word() != rel.rhs:
         raise AssertionError("conjugation phase did not land on the factorised word")
     builder.apply_steps(rel.script.inverted().steps)
-    return builder.finish(target)
 
 
 def _homology_check(script: ProofScript, assignment: HomologyAssignment) -> bool:
     return evaluate_rep(script.start, assignment) == evaluate_rep(script.end, assignment)
 
 
+def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
+                      flavor: str, r_det_override: int | None = None) -> Certificate:
+    """Certificate of ``flavor`` for t^n (t^(2n) for the even-power
+    flavours) about ``curve``: select the case, then build the claim of
+    its row with the row's rules and homology model."""
+    case = _select_case(flavor, surface, curve, r_det_override)
+    claim = CLAIMS[case.y_choice]
+    x = power(claim.x_base, n)
+    target = power(claim.target_base, claim.multiplier * n)
+    script = _commutator_script(case.y_choice, claim, x, target, n)
+    homology_ok = _homology_check(script, ASSIGNMENTS[claim.assignment]())
+    return Certificate(flavor, n, surface, case.curve, case, target, x, claim.y, script,
+                       claim.assignment, homology_ok,
+                       _membership(flavor, case, x, claim.y, surface))
+
+
 def build_theorem1_certificate(surface: SurfaceSpec, curve: CurveClass, n: int) -> Certificate:
     """Extended-group certificate: t^n about the boundary curve is the
     single commutator [P^n, a1^-1 r]."""
-    case = select_case(surface, curve, "extended-group")
-    x = power(P_WORD, n)
-    y = _Y_WORDS["r"]
-    script = _commutator_script(x, "r", n)
-    assignment = genus3_assignment()
-    return Certificate("extended-group", n, surface, case.curve, case,
-                       power(C1, n), x, y, script, assignment.assignment_id,
-                       _homology_check(script, assignment), None)
+    return build_certificate(surface, curve, n, "extended-group")
 
 
 def build_theorem2_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
                                r_det_override: int | None = None) -> Certificate:
     """Twist-subgroup certificate; Y carries h whenever the reflection is
     not known to act with determinant +1."""
-    case = select_case(surface, curve, "twist-subgroup", r_det_override)
-    x = power(P_WORD, n)
-    y = _Y_WORDS[case.y_choice]
-    script = _commutator_script(x, case.y_choice, n)
-    assignment = genus3_with_h_assignment() if case.y_choice == "rh" else genus3_assignment()
-    membership = _twist_membership(case, x, y, surface)
-    return Certificate("twist-subgroup", n, surface, case.curve, case,
-                       power(C1, n), x, y, script, assignment.assignment_id,
-                       _homology_check(script, assignment), membership)
-
-
-def _twist_membership(case: TheoremCase, x: Word, y: Word,
-                      surface: SurfaceSpec) -> MembershipRecord:
-    det_x = det_hom(x, surface)  # twists only
-    if case.forced_rh:
-        return MembershipRecord(
-            det_x, None, True,
-            "reflection determinant unrecorded for this embedding; exactly one "
-            "of a1^-1 r and a1^-1 r h lies in the twist subgroup, and the "
-            "emitted rh form is the member whenever the reflection is not")
-    det_y = det_hom(y, surface, k=case.k, r_det=case.r_det)
-    return MembershipRecord(det_x, det_y, False,
-                            f"reflection determinant {case.r_det:+d} recorded for the embedding")
+    return build_certificate(surface, curve, n, "twist-subgroup", r_det_override)
 
 
 def build_even_power_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
@@ -342,48 +384,7 @@ def build_even_power_certificate(surface: SurfaceSpec, curve: CurveClass, n: int
     so that s can be chosen inside the twist subgroup."""
     if flavor not in ("extended", "twist"):
         raise ValueError(f"unknown even-power flavor {flavor!r}")
-    case = select_case(surface, curve, "even-power")
-    if flavor == "twist" and not case.twist_admissible:
-        raise OutOfScope("the complement has no nonorientable piece of genus >= 2, "
-                         "so no curve-reversing map exists in the twist subgroup")
-    x = power(_C, n)
-    y = _S
-    target = power(_C, 2 * n)
-    start = commutator(x, y)
-    builder = ScriptBuilder(start, even_power_presentation())
-    m = abs(n)
-    if m:
-        for gap in range(m - 1, 0, -1):
-            builder.apply("FREE_RED", ("s^-1",), Direction.RL, m + 1 + gap)
-        pos = m
-        for _ in range(m):
-            builder.apply("REVERSE_S", ("c",), Direction.LR, pos)
-            pos += 1
-    script = builder.finish(target)
-    assignment = curve_reverser_assignment()
-    membership = None
-    if flavor == "twist":
-        membership = MembershipRecord(
-            1, 1, False,
-            "x is a twist power; s is chosen in the twist subgroup by composing "
-            "with a crosscap slide in the nonorientable complement piece")
-    return Certificate(f"even-power-{flavor}", n, surface, case.curve, case,
-                       target, x, y, script, assignment.assignment_id,
-                       _homology_check(script, assignment), membership)
-
-
-def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
-                      flavor: str, r_det_override: int | None = None) -> Certificate:
-    """Dispatch on the certificate flavour."""
-    if flavor == "extended-group":
-        return build_theorem1_certificate(surface, curve, n)
-    if flavor == "twist-subgroup":
-        return build_theorem2_certificate(surface, curve, n, r_det_override)
-    if flavor == "even-power-extended":
-        return build_even_power_certificate(surface, curve, n, "extended")
-    if flavor == "even-power-twist":
-        return build_even_power_certificate(surface, curve, n, "twist")
-    raise ValueError(f"unknown certificate flavor {flavor!r}")
+    return build_certificate(surface, curve, n, f"even-power-{flavor}")
 
 
 @dataclass(frozen=True)
@@ -400,62 +401,64 @@ class CertificateReport:
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
-    """Re-derive the claim from n and the case, replay the script, check
-    that each of its rules belongs to the flavour's presentation, re-run
-    the case selection and the homology shadow, and re-check the
-    determinant membership record.  Failure is a report state, even for
-    malformed certificates."""
-    problems: list[str] = []
-
-    problems.extend(_case_problems(cert))
-    problems.extend(_claim_problems(cert))
-
-    expected_comm = commutator(cert.x, cert.y)
-    if cert.script.start != expected_comm:
+    """Check a certificate against the claim row of its case: re-run the
+    case selection; compare target, x and y with the words that n and the
+    row require; replay the script and check that each of its rules is in
+    the row's rule set; recompute the homology shadow in the row's model,
+    which must be the recorded assignment; and recompute the membership
+    record, which must equal the recorded one.  Failure is a report
+    state, even for malformed certificates."""
+    problems = _case_problems(cert)
+    if cert.script.start != commutator(cert.x, cert.y):
         problems.append("script start is not the commutator of x and y")
     if cert.script.end != cert.target:
         problems.append("script end is not the target word")
-
     report = verify_script(cert.script)
     if not report.ok:
         problems.append(f"script replay failed: {report.message}")
-    presentation = _flavor_presentation(cert)
-    foreign_step = _foreign_rule_step(cert.script, presentation)
-    if foreign_step is not None:
-        rule = cert.script.steps[foreign_step - 1].rule
-        problems.append(f"step {foreign_step} uses {rule.render()}, which is not in "
-                        f"presentation {presentation.name!r}")
 
-    from .homology import ASSIGNMENTS
-
-    homology_ok = False
-    if cert.assignment_id in ASSIGNMENTS:
+    foreign_step, homology_ok = None, False
+    claim = CLAIMS.get(cert.case.y_choice)
+    if claim is None:
+        problems.append(f"unknown y-choice {cert.case.y_choice!r}")
+    else:
+        problems.extend(_claim_problems(cert, claim))
+        presentation = PRESENTATIONS[claim.rules]()
+        foreign_step = _foreign_rule_step(cert.script, presentation)
+        if foreign_step is not None:
+            rule = cert.script.steps[foreign_step - 1].rule
+            problems.append(f"step {foreign_step} uses {rule.render()}, which is not in "
+                            f"presentation {presentation.name!r}")
+        if cert.assignment_id not in ASSIGNMENTS:
+            problems.append(f"unknown assignment {cert.assignment_id!r}")
+        elif cert.assignment_id != claim.assignment:
+            problems.append(f"assignment {cert.assignment_id!r} is not the "
+                            f"{claim.assignment!r} model of y-choice {cert.case.y_choice!r}")
         try:
-            homology_ok = _homology_check(cert.script, ASSIGNMENTS[cert.assignment_id]())
+            homology_ok = _homology_check(cert.script, ASSIGNMENTS[claim.assignment]())
+        except Exception as exc:
+            problems.append(f"homology check failed to run: {exc}")
+        else:
             if not homology_ok:
                 problems.append("homology representations of start and end differ")
             elif not cert.homology_ok:
                 problems.append("homology-check is recorded as fail but recomputes as pass")
-        except Exception as exc:
-            problems.append(f"homology check failed to run: {exc}")
-    else:
-        problems.append(f"unknown assignment {cert.assignment_id!r}")
 
     membership_ok: bool | None = None
-    if cert.flavor in ("twist-subgroup", "even-power-twist"):
-        if cert.membership is None:
-            membership_ok = False
-            problems.append("twist-subgroup certificate lacks a membership record")
-        else:
-            membership_ok = cert.membership.ok
-            if cert.flavor == "twist-subgroup":
-                try:
-                    membership_ok = membership_ok and _membership_consistent(cert)
-                except Exception as exc:
-                    membership_ok = False
-                    problems.append(f"membership check failed to run: {exc}")
-            if not membership_ok:
+    try:
+        expected = _membership(cert.flavor, cert.case, cert.x, cert.y, cert.surface)
+    except Exception as exc:
+        membership_ok = False
+        problems.append(f"membership check failed to run: {exc}")
+    else:
+        if expected is not None:
+            membership_ok = cert.membership == expected and expected.ok
+            if cert.membership != expected:
+                problems.append("membership record does not match its recomputation")
+            elif not expected.ok:
                 problems.append("membership record does not certify both entries")
+        elif cert.membership is not None:
+            problems.append(f"{cert.flavor} certificates carry no membership record")
 
     ok = not problems
     message = "; ".join(problems) if problems else "claim, script, homology and membership verified"
@@ -465,36 +468,17 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
                              membership_ok, failed_step, message)
 
 
-_CASE_FLAVOR = {"extended-group": "extended-group", "twist-subgroup": "twist-subgroup",
-                "even-power-extended": "even-power", "even-power-twist": "even-power"}
-
-
 def _case_problems(cert: Certificate) -> list[str]:
     """Re-run case selection and compare with the recorded case."""
-    flavor = _CASE_FLAVOR.get(cert.flavor)
-    if flavor is None:
-        return [f"unknown certificate flavor {cert.flavor!r}"]
-    override = None
-    if (flavor == "twist-subgroup" and not cert.case.forced_rh
-            and cert.case.case_id != "T2-orientable-complement"):
-        override = cert.case.r_det
     try:
-        expected = select_case(cert.surface, cert.curve, flavor, override)
+        # the recorded determinant is an override only where no
+        # determinant is computed; select_case ignores it elsewhere
+        expected = _select_case(cert.flavor, cert.surface, cert.curve, cert.case.r_det)
     except Exception as exc:
         return [f"case selection rejects this certificate: {exc}"]
     if expected != cert.case:
         return ["recorded case does not match a fresh case selection"]
-    if cert.flavor == "even-power-twist" and not cert.case.twist_admissible:
-        return ["even-power twist certificate on an inadmissible complement"]
     return []
-
-
-def _flavor_presentation(cert: Certificate) -> Presentation:
-    """The rules a certificate's script may use: h rules only when y is
-    a1^-1 r h."""
-    if cert.flavor.startswith("even-power"):
-        return even_power_presentation()
-    return torus_presentation(with_h=cert.case.y_choice == "rh")
 
 
 def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int | None:
@@ -509,33 +493,16 @@ def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int |
     return next(i for i, step in enumerate(steps, start=1) if id(step.rule) in foreign)
 
 
-def _claim_problems(cert: Certificate) -> list[str]:
-    """Compare target, x and y with the words the recorded n and case
-    require: c1^n = [P^n, Y] with Y for the case's y-choice, or
-    c^(2n) = [c^n, s] for the even-power flavours."""
-    if cert.flavor.startswith("even-power"):
-        claim = (("target", _C, 2 * cert.n), ("x", _C, cert.n), ("y", _S, 1))
-    else:
-        claim = (("target", C1, cert.n), ("x", P_WORD, cert.n),
-                 ("y", _Y_WORDS.get(cert.case.y_choice), 1))
+def _claim_problems(cert: Certificate, claim: Claim) -> list[str]:
+    """Compare target, x and y with the words the recorded n and the
+    claim require."""
     problems = []
-    for name, base, k in claim:
+    for name, base, k in (("target", claim.target_base, claim.multiplier * cert.n),
+                          ("x", claim.x_base, cert.n), ("y", claim.y, 1)):
         found = getattr(cert, name)
         # the bases are cyclically reduced, so base^k has |k| len(base)
         # letters; comparing lengths first never expands an outside n
         # beyond the size of the recorded word
-        if base is None or len(found) != abs(k) * len(base) or found != power(base, k):
+        if len(found) != abs(k) * len(base) or found != power(base, k):
             problems.append(f"{name} is not the word that n = {cert.n} and the case require")
     return problems
-
-
-def _membership_consistent(cert: Certificate) -> bool:
-    """The recorded determinants must match a fresh computation."""
-    record = cert.membership
-    assert record is not None
-    if det_hom(cert.x, cert.surface) != record.det_x:
-        return False
-    if record.conditional:
-        # the y entry must really be of the rh shape it claims
-        return cert.case.forced_rh and cert.y == _Y_WORDS["rh"]
-    return det_hom(cert.y, cert.surface, k=cert.case.k, r_det=cert.case.r_det) == record.det_y

@@ -19,12 +19,12 @@ from .certificates import (
 )
 from .homology import ASSIGNMENTS, UndefinedDet, det_hom, evaluate_rep
 from .presentation import (
+    PRESENTATIONS,
     ScriptSyntaxError,
     UnknownRule,
-    even_power_presentation,
+    every_rule,
     format_script,
     parse_script,
-    torus_presentation,
     verify_script,
 )
 from .surfaces import (
@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-script", help="replay a proof script file")
     p.add_argument("path", type=Path)
-    p.add_argument("--rules", choices=["torus", "torus+h", "even-power"],
+    p.add_argument("--rules", choices=list(PRESENTATIONS),
                    default="torus+h", help="rule set to resolve steps against")
 
     p = sub.add_parser("rep-check", help="evaluate a word in an integer homology assignment")
@@ -143,16 +143,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _presentation(name: str):
-    if name == "torus":
-        return torus_presentation()
-    if name == "torus+h":
-        return torus_presentation(with_h=True)
-    return even_power_presentation()
-
-
 def _cmd_verify_script(args: argparse.Namespace) -> int:
-    script = parse_script(args.path.read_text(), _presentation(args.rules))
+    script = parse_script(args.path.read_text(), PRESENTATIONS[args.rules]())
     report = verify_script(script)
     print(f"start: {script.start}")
     print(f"steps: {len(script.steps)}")
@@ -331,7 +323,6 @@ def parse_certificate(text: str) -> Certificate:
     def opt_int(key: str) -> int | None:
         return None if fields[key] == "-" else int(fields[key])
 
-    flavor = fields["flavor"]
     surface = SurfaceSpec.parse(fields["surface"])
     curve = CurveClass.parse(fields["curve"])
     case = TheoremCase(
@@ -347,9 +338,8 @@ def parse_certificate(text: str) -> Certificate:
         twist_admissible=(None if fields["twist-admissible"] == "-"
                           else fields["twist-admissible"] == "yes"),
     )
-    presentation = (even_power_presentation() if flavor.startswith("even-power")
-                    else torus_presentation(with_h=True))
-    script = parse_script("\n".join(script_lines), presentation)
+    # which rules the flavour allows is for verify_certificate to decide
+    script = parse_script("\n".join(script_lines), every_rule())
     membership = None
     if fields["membership-x"] != "-":
         det_y = None if fields["membership-y"] == "conditional" else int(fields["membership-y"])
@@ -357,7 +347,7 @@ def parse_certificate(text: str) -> Certificate:
                                       fields["membership-y"] == "conditional",
                                       fields["membership-note"])
     return Certificate(
-        flavor=flavor,
+        flavor=fields["flavor"],
         n=int(fields["n"]),
         surface=surface,
         curve=curve,

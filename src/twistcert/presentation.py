@@ -321,6 +321,23 @@ def even_power_presentation() -> Presentation:
     return Presentation("even-power", rules)
 
 
+#: The rule sets by name.
+PRESENTATIONS = {
+    "torus": torus_presentation,
+    "torus+h": lambda: torus_presentation(with_h=True),
+    "even-power": even_power_presentation,
+}
+
+
+@lru_cache(maxsize=None)
+def every_rule() -> Presentation:
+    """The rules of every presentation, sharing their compiled objects:
+    for parsing a script whose allowed rules are checked later, against
+    the claim it proves."""
+    return Presentation("every-rule", (rule for make in PRESENTATIONS.values()
+                                       for rule in make().rules()))
+
+
 # --- script text format ----------------------------------------------------
 #
 #   # comment

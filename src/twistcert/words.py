@@ -16,7 +16,9 @@ Word text grammar (bit-exact):
     token   = name | name "^-1" | "(" word ")^" int
     name    = [a-z][a-z0-9]*
 
-Parenthesised powers are expanded with :func:`power` at parse time.
+Parenthesised powers are expanded with :func:`power` at parse time, and
+a word whose groups would expand past ``MAX_EXPANDED_LETTERS`` letters is
+rejected before anything is expanded.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class GeneratorKind(Enum):
 
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
+
+#: No group power may expand a word past this many letters.  The largest
+#: word a certificate needs, [P^n, Y], has 14|n| + 4 letters.
+MAX_EXPANDED_LETTERS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,12 @@ def _parse_tokens(tokens: list[str], lo: int, hi: int) -> list[Letter]:
             if not m:
                 raise WordSyntaxError(f"expected ')^<int>' after group, found {close!r}")
             inner = Word(tuple(_parse_tokens(tokens, i + 1, j)))
-            out.extend(power(inner, int(m.group(1))).letters)
+            k = int(m.group(1))
+            # an empty group counts as one letter, so |k| is bounded too
+            if len(out) + abs(k) * max(len(inner), 1) > MAX_EXPANDED_LETTERS:
+                raise WordSyntaxError(f"group power ^{k} would expand the word past "
+                                      f"{MAX_EXPANDED_LETTERS} letters")
+            out.extend(power(inner, k).letters)
             i = j + 1
         elif tok.startswith(")"):
             raise WordSyntaxError("unbalanced ')' in word")

@@ -1,5 +1,6 @@
 """End-to-end certificate builders and the verifier."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from twistcert import (
     ProofStep,
     SurfaceSpec,
     Word,
+    build_certificate,
     build_even_power_certificate,
     build_rel1,
     build_theorem1_certificate,
@@ -28,7 +30,7 @@ from twistcert import (
     verify_script,
     word,
 )
-from twistcert.certificates import P_WORD, Q_WORD
+from twistcert.certificates import MembershipRecord, P_WORD, Q_WORD
 from twistcert.cli import format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
@@ -227,6 +229,51 @@ def test_recorded_homology_failure_fails():
     cert = build_theorem1_certificate(O3, NONSEP, 2)
     report = verify_certificate(replace(cert, homology_ok=False))
     assert not report.ok and "homology-check" in report.message
+
+
+def test_recorded_assignment_must_be_the_model_of_the_claim():
+    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    report = verify_certificate(replace(cert, assignment_id="genus3-h"))
+    assert not report.ok and "'genus3-h' is not the 'genus3' model" in report.message
+    report = verify_certificate(replace(cert, assignment_id="no-such-assignment"))
+    assert not report.ok and "unknown assignment" in report.message
+
+
+def test_an_unknown_y_choice_is_reported():
+    cert = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    report = verify_certificate(replace(cert, case=replace(cert.case, y_choice="q")))
+    assert not report.ok and "unknown y-choice 'q'" in report.message
+
+
+def test_membership_records_are_compared_as_a_whole():
+    # a record on a flavour that carries none
+    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    text = format_certificate(cert).replace(
+        "membership-x: -\nmembership-y: -\nmembership-note: -",
+        "membership-x: -1\nmembership-y: -1\nmembership-note: forged")
+    parsed = parse_certificate(text)
+    assert parsed.membership == MembershipRecord(-1, -1, False, "forged")
+    report = verify_certificate(parsed)
+    assert not report.ok and report.membership_ok is None
+    assert "carry no membership record" in report.message
+    # a record that certifies both entries, but not the one the flavour states
+    cert = build_even_power_certificate(N7, NONSEP_NC, 2, "twist")
+    report = verify_certificate(replace(cert, membership=replace(cert.membership, note="forged")))
+    assert not report.ok and report.membership_ok is False
+
+
+def test_certificate_bytes_are_unchanged():
+    """SHA-256 of the certificate text of every flavour at n in {-2, 0, 3}."""
+    digest = hashlib.sha256()
+    for surface, curve, flavor in [
+            ("o:3", "nonsep", "extended-group"), ("n:7", "sep:n2+n5", "twist-subgroup"),
+            ("n:6", "nonsep:oc", "twist-subgroup"), ("o:1", "nonsep", "even-power-extended"),
+            ("n:7", "nonsep:nc", "even-power-twist")]:
+        for n in (-2, 0, 3):
+            cert = build_certificate(SurfaceSpec.parse(surface), CurveClass.parse(curve), n, flavor)
+            digest.update(format_certificate(cert).encode())
+    assert digest.hexdigest() == (
+        "7aa5af4dd292b716f6c06e5354d627f7aefa764f7782191a95f29d50a6b28f3b")
 
 
 def with_detour(cert, presentation, detour):

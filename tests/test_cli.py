@@ -4,8 +4,9 @@ from dataclasses import replace
 
 from twistcert import fixture_path
 from twistcert.cli import format_certificate, parse_certificate, run
-from twistcert import (build_theorem1_certificate, build_theorem2_certificate, CurveClass,
-                       Direction, ProofStep, SurfaceSpec, torus_presentation)
+from twistcert import (build_even_power_certificate, build_theorem1_certificate,
+                       build_theorem2_certificate, CurveClass, Direction, ProofStep,
+                       SurfaceSpec, torus_presentation)
 
 
 def invoke(capsys, *argv):
@@ -145,6 +146,28 @@ def test_certificate_using_h_rules_without_h_fails_verification(tmp_path, capsys
     path.write_text(format_certificate(bad))
     code, out, _ = invoke(capsys, "verify-cert", str(path))
     assert code == 1 and "step 1 uses FREE_RED(h)" in out
+
+
+def test_even_power_certificate_using_torus_rules_fails_verification(tmp_path, capsys):
+    # the same failure as a torus flavour's, not a parse error
+    cert = build_even_power_certificate(SurfaceSpec(False, 7), CurveClass.parse("nonsep:nc"),
+                                        2, "twist")
+    free_b = torus_presentation().rule("FREE_RED", ("b",))
+    detour = (ProofStep(free_b, Direction.RL, 0), ProofStep(free_b, Direction.LR, 0))
+    bad = replace(cert, script=replace(cert.script, steps=detour + cert.script.steps))
+    path = tmp_path / "detour.txt"
+    path.write_text(format_certificate(bad))
+    code, out, _ = invoke(capsys, "verify-cert", str(path))
+    assert code == 1 and "step 1 uses FREE_RED(b)" in out
+
+
+def test_oversized_group_power_in_a_certificate_is_a_usage_error(tmp_path, capsys):
+    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 1)
+    text = format_certificate(cert).replace(f"x: {cert.x}", "x: ( b )^1000000000")
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code, _, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and "past" in err
 
 
 def test_certificate_format_round_trip():

@@ -151,3 +151,17 @@ def test_r_exponent_is_normalised():
     assert free_reduce(word("r^-1")) == word("r")
     assert free_reduce(word("b r^-1 r a1")) == word("b a1")
     assert free_reduce(word("r^-1 r^-1")) == Word()
+
+
+def test_group_powers_are_bounded_before_they_are_expanded():
+    from twistcert.words import MAX_EXPANDED_LETTERS as cap
+
+    half = cap // 2
+    assert len(word(f"( b a1 )^{half}")) == cap  # exactly at the cap
+    for text in [f"b ( b a1 )^{half}",        # one letter past it
+                 f"a2 ( b a1 )^-{half}",
+                 "( b )^1000000000",          # would allocate gigabytes
+                 "( )^1000000000",            # an empty group is bounded too
+                 "( ( b a1 )^1024 )^1024"]:   # nested groups multiply
+        with pytest.raises(WordSyntaxError, match="past"):
+            word(text)
