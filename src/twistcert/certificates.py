@@ -21,20 +21,31 @@ twist-subgroup flavours, records the determinants that decide
 membership (``_membership``).  ``verify_certificate`` selects the case
 afresh and checks the certificate against the same row.
 
+The homology check is the claim's shadow at n: M(x_base)^n M(y)
+M(x_base)^-n M(y)^-1 against M(target_base)^(multiplier n) in the row's
+model, from matrices cached per row and powers taken by repeated
+squaring (``_claim_shadows``), so it costs O(log |n|) products.  Every
+rule instance holds in its rule set's model, so a script that replays
+has equal start and end shadows, and the claim's shadow is the shadow of
+the script once its start is [x, y] and its end the target.  The
+verifier computes it only after target, x and y match n, which bounds
+|n| by the recorded words.
+
 All scripts are generated for the concrete exponent: the builder applies
 each step as it emits it, so a bad position or a rule outside the row's
 rule set is a build-time error, never a silent corruption.
 ``build_rel1`` produces the underlying factorisation
 c1^n = (P)^n (Q)^n with Q = c3^-1 b a2 a3 b a1 a2; the commutator scripts
-replay it backwards after rewriting the conjugated half.
+append it inverted after rewriting the conjugated half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .homology import ASSIGNMENTS, HomologyAssignment, det_hom, evaluate_rep
+from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep
 from .presentation import (
     PRESENTATIONS,
     Direction,
@@ -48,7 +59,7 @@ from .presentation import (
     verify_script,
 )
 from .surfaces import CurveClass, OutOfScope, SurfaceSpec, TheoremCase, select_case
-from .words import Word, commutator, concat, power, word
+from .words import Word, commutator, concat, invert, power, word
 
 P_WORD = word("b a2 a3 b a1 a2 c2^-1")
 Q_WORD = word("c3^-1 b a2 a3 b a1 a2")
@@ -127,6 +138,17 @@ class ScriptBuilder:
                 step = ProofStep(step.rule, step.direction, step.position + offset)
             rewrite(self.letters, step)
             self._steps.append(step)
+
+    def apply_inverted(self, script: ProofScript) -> None:
+        """Append ``script``'s steps inverted and in reverse order, taking
+        the current word, which must be the script's end, back to its start.
+        The steps are not replayed again: ``script`` has replayed, and every
+        rule's two rewrite tables are inverse bijections."""
+        if self.letters != list(script.end.letters):
+            raise AssertionError(f"script builder is at {self.word()}, "
+                                 f"not at the end {script.end} of the inverted script")
+        self._steps.extend(step.inverted() for step in reversed(script.steps))
+        self.letters = list(script.start.letters)
 
     def finish(self, end: Word) -> ProofScript:
         if self.word() != end:
@@ -253,6 +275,34 @@ CLAIMS = {
     "s": Claim(_C, 2, _C, word("s"), "even-power", "curve-reverser"),
 }
 
+
+@lru_cache(maxsize=None)
+def _row_matrices(y_choice: str) -> tuple[IntMatrix, ...]:
+    """M(x_base), M(x_base^-1), M(y), M(y^-1), M(target_base) and
+    M(target_base^-1) in the homology model of the row of ``y_choice``.
+    Each inverse is the image of the inverted word, so it is built from
+    the exact letter inverses the model holds."""
+    claim = CLAIMS[y_choice]
+    model = ASSIGNMENTS[claim.assignment]()
+    return tuple(evaluate_rep(w, model)
+                 for base in (claim.x_base, claim.y, claim.target_base)
+                 for w in (base, invert(base)))
+
+
+def _claim_shadows(y_choice: str, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """The homology shadows of [x, y] and of the target that n and the row
+    of ``y_choice`` require: M(x_base)^n M(y) M(x_base)^-n M(y)^-1 and
+    M(target_base)^(multiplier n), with the powers taken by repeated
+    squaring, so O(log |n|) matrix products.  The claim holds in the
+    row's model exactly when the two are equal."""
+    x, x_inv, y, y_inv, t, t_inv = _row_matrices(y_choice)
+    if n < 0:
+        x, x_inv = x_inv, x
+    k = CLAIMS[y_choice].multiplier * n
+    x_n, x_inv_n = x ** abs(n), x_inv ** abs(n)
+    return x_n * y * x_inv_n * y_inv, (t if k >= 0 else t_inv) ** abs(k)
+
+
 # the select_case flavour of each certificate flavour
 _CASE_FLAVOR = {"extended-group": "extended-group", "twist-subgroup": "twist-subgroup",
                 "even-power-extended": "even-power", "even-power-twist": "even-power"}
@@ -337,15 +387,8 @@ def _reflection_phase(builder: ScriptBuilder, n: int, with_h: bool) -> None:
     for j in range(m + 1):
         builder.apply("FREE_RED", ("a1^-1",), Direction.LR, 7 * m + 7 * j)
 
-    # the word is now P^n Q^n; replay the factorisation backwards
-    rel = build_rel1(n)
-    if builder.word() != rel.rhs:
-        raise AssertionError("conjugation phase did not land on the factorised word")
-    builder.apply_steps(rel.script.inverted().steps)
-
-
-def _homology_check(script: ProofScript, assignment: HomologyAssignment) -> bool:
-    return evaluate_rep(script.start, assignment) == evaluate_rep(script.end, assignment)
+    # the word is now P^n Q^n; run the factorisation backwards
+    builder.apply_inverted(build_rel1(n).script)
 
 
 def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
@@ -358,7 +401,8 @@ def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
     x = power(claim.x_base, n)
     target = power(claim.target_base, claim.multiplier * n)
     script = _commutator_script(case.y_choice, claim, x, target, n)
-    homology_ok = _homology_check(script, ASSIGNMENTS[claim.assignment]())
+    commutator_shadow, target_shadow = _claim_shadows(case.y_choice, n)
+    homology_ok = commutator_shadow == target_shadow
     return Certificate(flavor, n, surface, case.curve, case, target, x, claim.y, script,
                        claim.assignment, homology_ok,
                        _membership(flavor, case, x, claim.y, surface))
@@ -404,10 +448,11 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     """Check a certificate against the claim row of its case: re-run the
     case selection; compare target, x and y with the words that n and the
     row require; replay the script and check that each of its rules is in
-    the row's rule set; recompute the homology shadow in the row's model,
-    which must be the recorded assignment; and recompute the membership
-    record, which must equal the recorded one.  Failure is a report
-    state, even for malformed certificates."""
+    the row's rule set; once target, x and y match n, compute the claim's
+    homology shadow at n by repeated squaring in the row's model, which
+    must be the recorded assignment; and recompute the membership record,
+    which must equal the recorded one.  Failure is a report state, even
+    for malformed certificates."""
     problems = _case_problems(cert)
     if cert.script.start != commutator(cert.x, cert.y):
         problems.append("script start is not the commutator of x and y")
@@ -422,7 +467,8 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     if claim is None:
         problems.append(f"unknown y-choice {cert.case.y_choice!r}")
     else:
-        problems.extend(_claim_problems(cert, claim))
+        claim_problems = _claim_problems(cert, claim)
+        problems.extend(claim_problems)
         presentation = PRESENTATIONS[claim.rules]()
         foreign_step = _foreign_rule_step(cert.script, presentation)
         if foreign_step is not None:
@@ -434,15 +480,19 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
         elif cert.assignment_id != claim.assignment:
             problems.append(f"assignment {cert.assignment_id!r} is not the "
                             f"{claim.assignment!r} model of y-choice {cert.case.y_choice!r}")
-        try:
-            homology_ok = _homology_check(cert.script, ASSIGNMENTS[claim.assignment]())
-        except Exception as exc:
-            problems.append(f"homology check failed to run: {exc}")
-        else:
-            if not homology_ok:
-                problems.append("homology representations of start and end differ")
-            elif not cert.homology_ok:
-                problems.append("homology-check is recorded as fail but recomputes as pass")
+        # only once target, x and y match n is |n| bounded by the recorded
+        # words; before that an edited n could drive any number of squarings
+        if not claim_problems:
+            try:
+                commutator_shadow, target_shadow = _claim_shadows(cert.case.y_choice, cert.n)
+                homology_ok = commutator_shadow == target_shadow
+            except Exception as exc:
+                problems.append(f"homology check failed to run: {exc}")
+            else:
+                if not homology_ok:
+                    problems.append("homology shadows of [x, y] and the target differ")
+                elif not cert.homology_ok:
+                    problems.append("homology-check is recorded as fail but recomputes as pass")
 
     membership_ok: bool | None = None
     try:

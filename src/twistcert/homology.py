@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .words import DEFAULT_ALPHABET, GeneratorKind, Word
@@ -75,14 +76,21 @@ class IntMatrix:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cols = list(zip(*other.rows))
         return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+            tuple(sum(map(mul, row, col)) for col in cols)
             for row in self.rows))
 
     def __pow__(self, n: int) -> "IntMatrix":
+        """The n-th power by repeated squaring: O(log |n|) products.  A
+        negative n raises the exact inverse."""
         base = self.inverse() if n < 0 else self
         result = IntMatrix.identity(self.dim)
-        for _ in range(abs(n)):
-            result = result * base
+        k = abs(n)
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __neg__(self) -> "IntMatrix":

@@ -151,9 +151,14 @@ class Rule:
             for e, f in product((1, -1), repeat=2):
                 signs = {"e": e, "f": f}
                 lr[_letters(lhs, signs)] = _letters(rhs, signs)
+        rl = {rhs: lhs for lhs, rhs in lr.items()}
+        # the two tables must be inverse bijections, so that a step's
+        # inverse undoes it: ScriptBuilder.apply_inverted relies on that
+        if len(rl) != len(lr):
+            raise ValueError(f"{self.render()} rewrites two segments to one")
         seg, repl = next(iter(lr.items()))
         object.__setattr__(self, "_lr", lr)
-        object.__setattr__(self, "_rl", {rhs: lhs for lhs, rhs in lr.items()})
+        object.__setattr__(self, "_rl", rl)
         object.__setattr__(self, "_lr_len", len(seg))
         object.__setattr__(self, "_rl_len", len(repl))
 
@@ -286,11 +291,16 @@ def _free_red_rules(names: Iterable[str]) -> list[Rule]:
     return out
 
 
-@lru_cache(maxsize=None)
 def torus_presentation(with_h: bool = False) -> Presentation:
     """The mapping-class-group rules of the three-holed torus, plus the
     reflection conjugation; optionally extended by the commuting
     complement homeomorphism h."""
+    # one positional cache key, so every spelling of the call shares it
+    return _torus_presentation(with_h)
+
+
+@lru_cache(maxsize=None)
+def _torus_presentation(with_h: bool) -> Presentation:
     rules: list[Rule] = []
     for pair in sorted(_DISJOINT_PAIRS, key=sorted):
         rules.append(Rule("COMMUTE", tuple(sorted(pair))))

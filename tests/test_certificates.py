@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -30,7 +31,9 @@ from twistcert import (
     verify_script,
     word,
 )
-from twistcert.certificates import MembershipRecord, P_WORD, Q_WORD
+from twistcert.certificates import CLAIMS, MembershipRecord, P_WORD, Q_WORD, _claim_shadows
+from twistcert.homology import ASSIGNMENTS
+from twistcert.presentation import PRESENTATIONS
 from twistcert.cli import format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
@@ -343,6 +346,46 @@ def test_rel1_and_theorem1_agree(n):
     comm = commutator(power(P_WORD, n), word("a1^-1 r"))
     assert evaluate_rep(comm, asg) == evaluate_rep(rel.rhs, asg)
     assert evaluate_rep(comm, asg) == evaluate_rep(rel.lhs, asg)
+
+
+def test_every_rule_holds_in_the_model_of_its_row():
+    """Every sign instance of every rule in a row's rule set has equal
+    images in the row's homology model.  So a script that replays has
+    equal start and end shadows, and checking the claim's shadow is
+    checking the script's endpoints."""
+    instances = {}
+    for claim in CLAIMS.values():
+        model = ASSIGNMENTS[claim.assignment]()
+        failures, count = [], 0
+        for rule in PRESENTATIONS[claim.rules]().rules():
+            for seg, repl in rule.rewrites(Direction.LR).items():
+                count += 1
+                if evaluate_rep(Word(seg), model) != evaluate_rep(Word(repl), model):
+                    failures.append(rule.render())
+        assert failures == [], (claim.rules, claim.assignment)
+        instances[claim.rules] = count
+    assert instances == {"torus": 181, "torus+h": 211, "even-power": 6}
+
+
+@pytest.mark.parametrize("y_choice", sorted(CLAIMS))
+def test_squared_claim_shadows_equal_the_images_of_the_written_words(y_choice):
+    claim = CLAIMS[y_choice]
+    model = ASSIGNMENTS[claim.assignment]()
+    for n in range(-16, 17):
+        commutator_shadow, target_shadow = _claim_shadows(y_choice, n)
+        x = power(claim.x_base, n)
+        assert commutator_shadow == evaluate_rep(commutator(x, claim.y), model), n
+        target = power(claim.target_base, claim.multiplier * n)
+        assert target_shadow == evaluate_rep(target, model), n
+
+
+def test_a_huge_edited_n_fails_before_any_squaring():
+    cert = build_theorem1_certificate(O3, NONSEP, 3)
+    start = time.perf_counter()
+    report = verify_certificate(replace(cert, n=10 ** 4000))
+    assert time.perf_counter() - start < 1.0
+    assert not report.ok and report.homology_ok is False
+    assert f"x is not the word that n = {10 ** 4000} and the case require" in report.message
 
 
 def test_twist_certificates_never_carry_odd_determinants():

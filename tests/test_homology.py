@@ -158,6 +158,19 @@ def test_matrix_power_and_mul_match_oracle():
     assert (m ** -3).rows == ((1, -3), (0, 1))
 
 
+@pytest.mark.parametrize("make", [genus3_assignment, genus3_with_h_assignment,
+                                  curve_reverser_assignment])
+def test_matrix_powers_by_squaring_match_repeated_products(make):
+    asg = make()
+    for name, m in asg.matrices.items():
+        for k in range(-9, 10):
+            base = asg.matrix(name, -1 if k < 0 else 1).rows
+            expected = mat_eye(m.dim)
+            for _ in range(abs(k)):
+                expected = mat_mul(expected, base)
+            assert (m ** k).rows == tuple(map(tuple, expected)), (name, k)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         IntMatrix.identity(2) * IntMatrix.identity(3)

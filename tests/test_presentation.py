@@ -20,7 +20,8 @@ from twistcert import (
     verify_script,
     word,
 )
-from twistcert.certificates import ScriptBuilder
+from twistcert import presentation
+from twistcert.certificates import ScriptBuilder, build_rel1
 from twistcert.presentation import SIGMA, Rule
 
 from test_words import random_word
@@ -118,6 +119,18 @@ def test_illegal_rule_instances_are_rejected():
                            ("FREE_RED", ("zz",))]:          # zz is no generator
         with pytest.raises(ValueError):
             Rule(family, params)
+
+
+def test_rule_tables_must_be_inverse_bijections(monkeypatch):
+    # a^e -> a2 rewrites two segments to one, so its RL table could not
+    # undo its LR steps
+    monkeypatch.setattr(presentation, "_equations", lambda family, params: [("a1^e", "a2")])
+    with pytest.raises(ValueError, match="rewrites two segments to one"):
+        Rule("COMMUTE", ("a1", "a2"))
+
+
+def test_both_spellings_of_torus_h_share_one_presentation():
+    assert torus_presentation(True) is torus_presentation(with_h=True)
 
 
 # --- proof scripts -----------------------------------------------------------
@@ -222,6 +235,23 @@ def test_builder_word_is_unchanged_after_a_failed_step():
         assert builder.word() == word("a2 a1 b")
     script = builder.finish(word("a2 a1 b"))
     assert script.steps == (step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS),)
+
+
+def test_builder_appends_an_inverted_script_only_from_its_end():
+    rel = build_rel1(2).script
+    builder = ScriptBuilder(word("a1 a2 b"), TORUS)
+    with pytest.raises(AssertionError):
+        builder.apply_inverted(rel)
+    assert builder.word() == word("a1 a2 b")
+    builder = ScriptBuilder(rel.end, TORUS)
+    builder.apply_inverted(rel)
+    assert builder.finish(rel.start) == rel.inverted()
+
+
+@pytest.mark.parametrize("n", range(-16, 17))
+def test_inverted_rel1_scripts_replay(n):
+    # the builder appends them without replaying them
+    assert verify_script(build_rel1(n).script.inverted()).ok
 
 
 def test_match_reads_lists_and_tuples_alike():
