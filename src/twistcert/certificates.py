@@ -49,6 +49,7 @@ from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep
 from .presentation import (
     PRESENTATIONS,
     Direction,
+    PatternMismatch,
     Presentation,
     ProofScript,
     ProofStep,
@@ -59,7 +60,7 @@ from .presentation import (
     verify_script,
 )
 from .surfaces import CurveClass, OutOfScope, SurfaceSpec, TheoremCase, select_case
-from .words import Word, commutator, concat, invert, power, word
+from .words import Letter, Word, commutator, concat, invert, power, word
 
 P_WORD = word("b a2 a3 b a1 a2 c2^-1")
 Q_WORD = word("c3^-1 b a2 a3 b a1 a2")
@@ -133,9 +134,8 @@ class ScriptBuilder:
         self._steps.append(step)
 
     def apply_steps(self, steps: Iterable[ProofStep], offset: int = 0) -> None:
-        for step in steps:
-            if offset:
-                step = ProofStep(step.rule, step.direction, step.position + offset)
+        for rule, direction, position in steps:
+            step = ProofStep(rule, direction, position + offset)
             rewrite(self.letters, step)
             self._steps.append(step)
 
@@ -147,8 +147,15 @@ class ScriptBuilder:
         if self.letters != list(script.end.letters):
             raise AssertionError(f"script builder is at {self.word()}, "
                                  f"not at the end {script.end} of the inverted script")
-        self._steps.extend(step.inverted() for step in reversed(script.steps))
+        flipped = {Direction.LR: Direction.RL, Direction.RL: Direction.LR}
+        self._steps.extend([ProofStep(rule, flipped[direction], position)
+                            for rule, direction, position in reversed(script.steps)])
         self.letters = list(script.start.letters)
+
+    def record(self, steps: Iterable[ProofStep]) -> None:
+        """Append steps that the caller has checked and already made on
+        ``letters``."""
+        self._steps.extend(steps)
 
     def finish(self, end: Word) -> ProofScript:
         if self.word() != end:
@@ -157,32 +164,59 @@ class ScriptBuilder:
         return ProofScript(self.start, tuple(self._steps), end)
 
 
-def _is_central(lt) -> bool:
-    return lt.name in _CENTRAL_NAMES
-
-
 def _central_rearrange(builder: ScriptBuilder, target: Sequence) -> None:
-    """Permute the current word into ``target`` by bubbling boundary-twist
+    """Permute the current word into ``target`` by moving boundary-twist
     letters with CENTRAL swaps.  The two words must agree as multisets and
-    on the relative order of their non-central letters."""
+    on the relative order of their non-central letters.
+
+    Each letter that is out of place moves left to its target position in
+    one slice assignment.  Before the move, every adjacent swap it stands
+    for is checked, one by one, as ``ScriptBuilder.apply`` would check it:
+    its CENTRAL rule must be in the builder's presentation and rewrite the
+    swapped pair into the pair reversed.  A swap that fails raises what
+    ``apply`` raises, with the word as it stood before that letter's move.
+    """
+    letters = builder.letters
     target = list(target)
-    if sorted(builder.letters) != sorted(target):
+    if sorted(letters) != sorted(target):
         raise AssertionError("rearrangement target is not a permutation of the word")
-    for i, want in enumerate(target):
-        if builder.letters[i] == want:
+    # per (left, mover) pair, looked up once per call: the swap's rule,
+    # direction and rewrite table, and the pair swapped
+    swaps: dict[tuple, tuple] = {}
+    for i, mover in enumerate(target):
+        if letters[i] == mover:
             continue
-        j = builder.letters.index(want, i + 1)
-        for jj in range(j, i, -1):
-            left, mover = builder.letters[jj - 1], builder.letters[jj]
-            if _is_central(mover):
-                if left.name == mover.name:
-                    raise AssertionError("cannot swap a central letter past itself")
-                builder.apply("CENTRAL", (mover.name, left.name), Direction.RL, jj - 1)
-            elif _is_central(left):
-                builder.apply("CENTRAL", (left.name, mover.name), Direction.LR, jj - 1)
-            else:
-                raise AssertionError(
-                    f"neither {left} nor {mover} is central; cannot rearrange")
+        j = letters.index(mover, i + 1)
+        moved: list[ProofStep] = []
+        for pos in range(j - 1, i - 1, -1):
+            pair = (letters[pos], mover)
+            swap = swaps.get(pair)
+            if swap is None:
+                swap = swaps[pair] = _central_swap(builder.presentation, *pair)
+            rule, direction, table, swapped = swap
+            if table.get(pair) != swapped:
+                raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
+                                      f"{pair[0]} {mover}")
+            moved.append(ProofStep(rule, direction, pos))
+        letters[i:j + 1] = [mover, *letters[i:j]]
+        builder.record(moved)
+
+
+def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> tuple:
+    """The CENTRAL rule and direction that swap ``left mover`` into
+    ``mover left``, with the rule's rewrite table in that direction and
+    the swapped pair.  Raise AssertionError if neither letter is a
+    boundary twist or both twist about the same curve, and UnknownRule if
+    ``presentation`` lacks the rule."""
+    if mover.name in _CENTRAL_NAMES:
+        if left.name == mover.name:
+            raise AssertionError("cannot swap a central letter past itself")
+        rule, direction = presentation.rule("CENTRAL", (mover.name, left.name)), Direction.RL
+    elif left.name in _CENTRAL_NAMES:
+        rule, direction = presentation.rule("CENTRAL", (left.name, mover.name)), Direction.LR
+    else:
+        raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
+    return rule, direction, rule.rewrites(direction), (mover, left)
 
 
 @dataclass(frozen=True)

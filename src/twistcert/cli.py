@@ -206,6 +206,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         except ValueError:
             raise Unrealizable(f"cannot parse range {args.n_range!r}; expected a..b") from None
         ns = list(range(lo, hi + 1))
+        if not ns:
+            raise Unrealizable(f"range {args.n_range!r} is empty; expected a..b with a <= b")
     else:
         ns = [args.n]
     for n in ns:
@@ -280,9 +282,9 @@ def format_certificate(cert: Certificate) -> str:
             "membership-y: " + ("conditional" if member.det_y is None else f"{member.det_y:+d}"),
             f"membership-note: {member.note}",
         ]
-    lines.append("script:")
-    for script_line in format_script(cert.script).splitlines():
-        lines.append(f"  {script_line}")
+    # every script line, indented by two spaces
+    script = format_script(cert.script)
+    lines.append("script:\n  " + script[:-1].replace("\n", "\n  "))
     return "\n".join(lines) + "\n"
 
 
@@ -294,22 +296,25 @@ def parse_certificate(text: str) -> Certificate:
     from .surfaces import TheoremCase
 
     fields: dict[str, str] = {}
-    script_lines: list[str] = []
-    in_script = False
-    for raw in text.splitlines():
-        if in_script:
-            script_lines.append(raw[2:] if raw.startswith("  ") else raw)
-            continue
+    # the script is the text after the "script:" line; parse_script strips
+    # each line, indentation included
+    script_text = ""
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        offset += len(raw)
         line = raw.strip()
         if not line:
             continue
         if line == "script:":
-            in_script = True
-            continue
+            script_text = text[offset:]
+            break
         key, sep, value = line.partition(":")
         if not sep:
             raise CertificateSyntaxError(f"cannot parse certificate line {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise CertificateSyntaxError(f"certificate repeats the {key!r} field")
+        fields[key] = value.strip()
 
     if fields.get("twistcert-certificate") != "1":
         raise CertificateSyntaxError("missing or unsupported certificate version")
@@ -339,7 +344,7 @@ def parse_certificate(text: str) -> Certificate:
                           else fields["twist-admissible"] == "yes"),
     )
     # which rules the flavour allows is for verify_certificate to decide
-    script = parse_script("\n".join(script_lines), every_rule())
+    script = parse_script(script_text, every_rule())
     membership = None
     if fields["membership-x"] != "-":
         det_y = None if fields["membership-y"] == "conditional" else int(fields["membership-y"])

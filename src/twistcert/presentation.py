@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .words import DEFAULT_ALPHABET, Letter, Word, letter, word
 
@@ -111,6 +111,10 @@ class Direction(Enum):
     LR = "LR"
     RL = "RL"
 
+    # members are singletons equal only to themselves, so the identity hash
+    # (in C) agrees with equality; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
+
     def flipped(self) -> "Direction":
         return Direction.RL if self is Direction.LR else Direction.LR
 
@@ -141,6 +145,8 @@ class Rule:
     _rl: dict = field(init=False, repr=False, compare=False)
     _lr_len: int = field(init=False, repr=False, compare=False)
     _rl_len: int = field(init=False, repr=False, compare=False)
+    # "FAMILY(params) DIR @ ", a step line up to its position, per direction
+    _texts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         equations = _equations(self.family, self.params)
@@ -161,6 +167,7 @@ class Rule:
         object.__setattr__(self, "_rl", rl)
         object.__setattr__(self, "_lr_len", len(seg))
         object.__setattr__(self, "_rl_len", len(repl))
+        object.__setattr__(self, "_texts", {d: f"{self.render()} {d.value} @ " for d in Direction})
 
     def render(self) -> str:
         return f"{self.family}({','.join(self.params)})"
@@ -186,14 +193,17 @@ class Rule:
         return table.get(tuple(letters[pos:pos + n]))
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
+    """One rewrite: ``rule`` in ``direction`` at ``position``.  Steps are
+    immutable values, so equal steps may be one shared object: a parsed
+    script holds one object per distinct step text."""
+
     rule: Rule
     direction: Direction
     position: int
 
     def render(self) -> str:
-        return f"{self.rule.render()} {self.direction.value} @ {self.position}"
+        return f"{self.rule._texts[self.direction]}{self.position}"
 
     def inverted(self) -> "ProofStep":
         """The step undoing this one at the same position."""
@@ -213,7 +223,7 @@ class ProofScript:
 def rewrite(letters: list[Letter], step: ProofStep) -> None:
     """Apply one step to ``letters`` in place; raise :class:`PatternMismatch`,
     leaving ``letters`` untouched, if it does not fit."""
-    rule, direction, pos = step.rule, step.direction, step.position
+    rule, direction, pos = step
     repl = rule.match(letters, pos, direction)
     n = rule.pattern_len(direction)
     if repl is None:
@@ -357,7 +367,8 @@ def every_rule() -> Presentation:
 #
 # Step labels k count from 1 and must be consecutive.
 
-_STEP_RE = re.compile(r"step (\d+): ([A-Z_]+)\(([^)]*)\) (LR|RL) @ (\d+)$")
+_STEP_LABEL_RE = re.compile(r"step (\d+)")
+_STEP_BODY_RE = re.compile(r"([A-Z_]+)\(([^)]*)\) (LR|RL) @ (\d+)")
 
 
 class ScriptSyntaxError(ValueError):
@@ -371,23 +382,35 @@ def fixture_path(name: str):
 
 def format_script(script: ProofScript) -> str:
     lines = [f"start: {script.start}"]
-    for i, step in enumerate(script.steps, start=1):
-        lines.append(f"step {i}: {step.render()}")
+    lines += [f"step {i}: {rule._texts[direction]}{position}"
+              for i, (rule, direction, position) in enumerate(script.steps, start=1)]
     lines.append(f"end: {script.end}")
     return "\n".join(lines) + "\n"
 
 
 def parse_script(text: str, presentation: Presentation) -> ProofScript:
+    """Parse the script text format, resolving rules against
+    ``presentation``.  Each distinct text after ``step <k>: `` becomes one
+    :class:`ProofStep`, shared by every line that repeats it: steps are
+    immutable, and the step pattern and rule lookup run once per
+    distinct text, not once per line."""
     start: Word | None = None
     end: Word | None = None
     steps: list[ProofStep] = []
+    shared: dict[str, ProofStep] = {}
     # each distinct "RULE(params) DIR" text is resolved once per script
     resolved: dict[tuple[str, str, str], tuple[Rule, Direction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        label, _, body = line.partition(": ")
+        step = shared.get(body)
+        k = len(steps) + 1
+        canonical = f"step {k}"
+        if step is not None and label == canonical:
+            steps.append(step)  # a step text seen before, under its own label
+        elif not line:
             continue
-        if line.startswith("start:"):
+        elif line.startswith("start:"):
             if start is not None:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate start line")
             start = word(line[len("start:"):].strip())
@@ -396,19 +419,22 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate end line")
             end = word(line[len("end:"):].strip())
         else:
-            m = _STEP_RE.match(line)
-            if not m:
+            m = _STEP_BODY_RE.fullmatch(body) if step is None else None
+            if (step is None and m is None) or (
+                    label != canonical and _STEP_LABEL_RE.fullmatch(label) is None):
                 raise ScriptSyntaxError(f"line {lineno}: cannot parse {line!r}")
-            k, family, params_text, direction, pos = m.groups()
-            if int(k) != len(steps) + 1:
-                raise ScriptSyntaxError(f"line {lineno}: step label {k}, expected {len(steps) + 1}")
-            key = (family, params_text, direction)
-            if key not in resolved:
-                params = (tuple(p.strip() for p in params_text.split(","))
-                          if params_text.strip() else ())
-                resolved[key] = (presentation.rule(family, params), Direction(direction))
-            rule, dirn = resolved[key]
-            steps.append(ProofStep(rule, dirn, int(pos)))
+            given = label[len("step "):]
+            if int(given) != k:  # "step 05" is step 5, as int() reads it
+                raise ScriptSyntaxError(f"line {lineno}: step label {given}, expected {k}")
+            if step is None:
+                family, params_text, direction, pos = m.groups()
+                key = (family, params_text, direction)
+                if key not in resolved:
+                    params = (tuple(p.strip() for p in params_text.split(","))
+                              if params_text.strip() else ())
+                    resolved[key] = (presentation.rule(family, params), Direction(direction))
+                step = shared[body] = ProofStep(*resolved[key], int(pos))
+            steps.append(step)
     if start is None or end is None:
         raise ScriptSyntaxError("script needs both a start and an end line")
     return ProofScript(start, tuple(steps), end)

@@ -163,9 +163,6 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         return power(self, n)
 
-    def is_reduced(self) -> bool:
-        return free_reduce(self) == self
-
 
 def word(text: str) -> Word:
     """Parse the word grammar.  Unknown generator names are rejected."""

@@ -31,9 +31,11 @@ from twistcert import (
     verify_script,
     word,
 )
-from twistcert.certificates import CLAIMS, MembershipRecord, P_WORD, Q_WORD, _claim_shadows
+from twistcert import certificates
+from twistcert.certificates import (CLAIMS, MembershipRecord, P_WORD, Q_WORD, ScriptBuilder,
+                                    _central_rearrange, _claim_shadows)
 from twistcert.homology import ASSIGNMENTS
-from twistcert.presentation import PRESENTATIONS
+from twistcert.presentation import PRESENTATIONS, PatternMismatch, UnknownRule
 from twistcert.cli import format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
@@ -279,6 +281,23 @@ def test_certificate_bytes_are_unchanged():
         "7aa5af4dd292b716f6c06e5354d627f7aefa764f7782191a95f29d50a6b28f3b")
 
 
+@pytest.mark.parametrize("surface, curve, flavor, n, digest", [
+    ("o:3", "nonsep", "extended-group", 40,
+     "5c8d82e9afbc3e26b0da9c87bc1670f47b30578942e525afd5f17e7987248db1"),
+    ("o:3", "nonsep", "extended-group", -33,
+     "d9dde21f2a25c443d92dff2ecfb042539fb052748ebba2af16aaf55b723080a8"),
+    ("n:8", "nonsep:nc", "twist-subgroup", 40,
+     "ae390ebef5429b9fd75e42aa0152ce706c780b085223cb24d41e808290d3cbdd"),
+    ("n:8", "nonsep:nc", "twist-subgroup", -33,
+     "18c167dd972d06154382f1522b132e76ce047e36436415976708049acb004778"),
+])
+def test_large_n_certificate_bytes_are_unchanged(surface, curve, flavor, n, digest):
+    """SHA-256 of the certificate text where the central rearrangement
+    makes most of the script: the ``r`` and ``rh`` rows at n = 40 and -33."""
+    cert = build_certificate(SurfaceSpec.parse(surface), CurveClass.parse(curve), n, flavor)
+    assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == digest
+
+
 def with_detour(cert, presentation, detour):
     """``cert`` with ``detour`` -- steps that return to the start word --
     replayed before its script."""
@@ -409,3 +428,94 @@ def test_builder_verifier_contract_sample():
                      build_theorem2_certificate(N7, SEP_N2_N5, n),
                      build_even_power_certificate(N7, NONSEP_NC, n, "twist")):
             assert verify_certificate(cert).ok, (cert.flavor, n)
+
+
+# --- central rearrangement ---------------------------------------------------
+
+
+def _rearrange_one_swap_at_a_time(builder, target):
+    """Reference for ``_central_rearrange``: bubble each letter into place
+    one CENTRAL swap at a time, each through ``ScriptBuilder.apply``."""
+    target = list(target)
+    if sorted(builder.letters) != sorted(target):
+        raise AssertionError("rearrangement target is not a permutation of the word")
+    for i, want in enumerate(target):
+        if builder.letters[i] == want:
+            continue
+        j = builder.letters.index(want, i + 1)
+        for jj in range(j, i, -1):
+            left, mover = builder.letters[jj - 1], builder.letters[jj]
+            if mover.name in ("c1", "c2", "c3"):
+                if left.name == mover.name:
+                    raise AssertionError("cannot swap a central letter past itself")
+                builder.apply("CENTRAL", (mover.name, left.name), Direction.RL, jj - 1)
+            elif left.name in ("c1", "c2", "c3"):
+                builder.apply("CENTRAL", (left.name, mover.name), Direction.LR, jj - 1)
+            else:
+                raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
+
+
+def _rearranged(rearrange, start, target):
+    """The steps and word a rearrangement leaves, or what it raises."""
+    builder = ScriptBuilder(start, torus_presentation())
+    try:
+        rearrange(builder, target.letters)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return builder.finish(target)
+
+
+def _admissible_target(rng, start):
+    """A random reordering of ``start`` that keeps the order of its
+    non-central letters and of the letters of each boundary twist."""
+    keys = [rng.random() for _ in start.letters]
+    chains = {}
+    for i, lt in enumerate(start.letters):
+        chains.setdefault(lt.name if lt.name in ("c1", "c2", "c3") else "", []).append(i)
+    for chain in chains.values():
+        for i, key in zip(chain, sorted(keys[i] for i in chain)):
+            keys[i] = key
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Word(tuple(start.letters[i] for i in order))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_central_rearrange_matches_one_swap_at_a_time(seed):
+    rng = random.Random(seed)
+    start = random_word(rng, rng.randrange(2, 40), names=("b", "a1", "a2", "a3", "c1", "c2", "c3"))
+    if seed % 4:
+        target = _admissible_target(rng, start)
+    else:  # any permutation: the two must also fail alike
+        target = Word(tuple(rng.sample(start.letters, len(start))))
+    expected = _rearranged(_rearrange_one_swap_at_a_time, start, target)
+    assert _rearranged(_central_rearrange, start, target) == expected
+    if seed % 4:
+        assert isinstance(expected, ProofScript) and verify_script(expected).ok
+
+
+@pytest.mark.parametrize("start, target, error", [
+    ("a1 a2", "a2 a1", (AssertionError, "neither a1 nor a2 is central; cannot rearrange")),
+    ("b c2 a3^-1", "a3^-1 b c2", (AssertionError, "neither b nor a3^-1 is central; cannot rearrange")),
+    ("c1 c1^-1", "c1^-1 c1", (AssertionError, "cannot swap a central letter past itself")),
+    ("r c1", "c1 r", (UnknownRule, "\"CENTRAL(c1,r) is not in presentation 'torus'\"")),
+])
+def test_central_rearrange_refuses_a_swap_no_rule_makes(start, target, error):
+    assert _rearranged(_central_rearrange, word(start), word(target)) == error
+    assert _rearranged(_rearrange_one_swap_at_a_time, word(start), word(target)) == error
+
+
+def test_central_rearrange_checks_each_swap_against_its_rule_table(monkeypatch):
+    """A swap whose rule does not rewrite the pair raises PatternMismatch,
+    as ``ScriptBuilder.apply`` would, before the letter moves."""
+    real = certificates._central_swap
+
+    def wrong_direction(presentation, left, mover):
+        rule, direction, _, swapped = real(presentation, left, mover)
+        return rule, direction.flipped(), rule.rewrites(direction.flipped()), swapped
+
+    monkeypatch.setattr(certificates, "_central_swap", wrong_direction)
+    builder = ScriptBuilder(word("a1 b c1"), torus_presentation())
+    with pytest.raises(PatternMismatch) as info:
+        _central_rearrange(builder, word("c1 a1 b").letters)
+    assert str(info.value) == "expected CENTRAL(c1,b) LR at position 1, found b c1"
+    assert builder.finish(word("a1 b c1")).steps == ()

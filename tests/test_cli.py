@@ -2,8 +2,10 @@
 
 from dataclasses import replace
 
+import pytest
+
 from twistcert import fixture_path
-from twistcert.cli import format_certificate, parse_certificate, run
+from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
 from twistcert import (build_even_power_certificate, build_theorem1_certificate,
                        build_theorem2_certificate, CurveClass, Direction, ProofStep,
                        SurfaceSpec, torus_presentation)
@@ -103,6 +105,13 @@ def test_certify_n_range_is_ordered(capsys):
     assert rows == ["n: -1", "n: 0", "n: 1"]
 
 
+def test_certify_empty_n_range_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
+                            "--flavor", "extended", "--n-range=5..3")
+    assert code == 2 and out == ""
+    assert "'5..3' is empty" in err
+
+
 def test_certify_respects_the_script_limit(capsys):
     code, _, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
                           "--flavor", "extended", "--n", "40")
@@ -168,6 +177,18 @@ def test_oversized_group_power_in_a_certificate_is_a_usage_error(tmp_path, capsy
     path.write_text(text)
     code, _, err = invoke(capsys, "verify-cert", str(path))
     assert code == 2 and "past" in err
+
+
+def test_repeated_certificate_field_is_a_syntax_error(tmp_path, capsys):
+    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2)
+    text = format_certificate(cert).replace("n: 2\n", "n: 2\nn: 3\n", 1)
+    with pytest.raises(CertificateSyntaxError, match="repeats the 'n' field"):
+        parse_certificate(text)
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == ""
+    assert "repeats the 'n' field" in err
 
 
 def test_certificate_format_round_trip():

@@ -22,7 +22,7 @@ from twistcert import (
 )
 from twistcert import presentation
 from twistcert.certificates import ScriptBuilder, build_rel1
-from twistcert.presentation import SIGMA, Rule
+from twistcert.presentation import SIGMA, Rule, ScriptSyntaxError, UnknownRule
 
 from test_words import random_word
 
@@ -189,6 +189,57 @@ def test_script_parser_rejects_bad_labels():
     text = "start: b\nstep 2: COMMUTE(a1,a2) LR @ 0\nend: b\n"
     with pytest.raises(Exception):
         parse_script(text, TORUS)
+
+
+SHARED_TEXT_SCRIPT = ["start: a1 a2", "step 1: COMMUTE(a1,a2) LR @ 0",
+                      "step 2: COMMUTE(a1,a2) RL @ 0", "step 3: COMMUTE(a1,a2) LR @ 0",
+                      "end: a2 a1"]
+
+
+def test_parsed_scripts_share_one_step_per_distinct_text():
+    script = parse_script("\n".join(SHARED_TEXT_SCRIPT), TORUS)
+    assert script.steps == (step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS),
+                            step("COMMUTE", ("a1", "a2"), "RL", 0, TORUS),
+                            step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS))
+    assert script.steps[0] is script.steps[2]
+    assert verify_script(script).ok
+
+
+# Line 4 of SHARED_TEXT_SCRIPT replaced, and what the parser made of it
+# before parsed steps were shared: the steps, or the error message.
+_ALL_STEPS = ["COMMUTE(a1,a2) LR @ 0", "COMMUTE(a1,a2) RL @ 0", "COMMUTE(a1,a2) LR @ 0"]
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("step 4: COMMUTE(a1,a2) LR @ 0", "line 4: step label 4, expected 3"),
+    ("step 4: COMMUTE(a1,a3) LR @ 0", "line 4: step label 4, expected 3"),
+    ("step 03: COMMUTE(a1,a2) LR @ 0", _ALL_STEPS),
+    ("step 02: COMMUTE(a1,a2) LR @ 0", "line 4: step label 02, expected 3"),
+    ("step 3: COMMUTE(a1,a2) LR @ 0  # again", _ALL_STEPS),
+    ("step 3: COMMUTE(a1,a2) LR @ 00", _ALL_STEPS),
+    ("step 3:  COMMUTE(a1,a2) LR @ 0",
+     "line 4: cannot parse 'step 3:  COMMUTE(a1,a2) LR @ 0'"),
+    ("step 3: COMMUTE(a1,a2)  LR @ 0",
+     "line 4: cannot parse 'step 3: COMMUTE(a1,a2)  LR @ 0'"),
+    ("step  3: COMMUTE(a1,a2) LR @ 0",
+     "line 4: cannot parse 'step  3: COMMUTE(a1,a2) LR @ 0'"),
+    ("step 5: COMMUTE(a1,a1) LR @ 0", "line 4: step label 5, expected 3"),
+    ("step 3: COMMUTE(a1,a1) LR @ 0", "COMMUTE(a1,a1) is not in presentation 'torus'"),
+    ("step 5: nonsense", "line 4: cannot parse 'step 5: nonsense'"),
+], ids=["repeat-wrong-label", "new-wrong-label", "leading-zero", "leading-zero-wrong",
+        "trailing-comment", "position-00", "double-space-after-colon",
+        "double-space-before-direction", "double-space-in-label", "unknown-rule-wrong-label",
+        "unknown-rule", "garbage-wrong-label"])
+def test_shared_step_parse_keeps_every_step_and_error(line, expected):
+    lines = list(SHARED_TEXT_SCRIPT)
+    lines[3] = line
+    text = "\n".join(lines)
+    if isinstance(expected, list):
+        assert [s.render() for s in parse_script(text, TORUS).steps] == expected
+    else:
+        with pytest.raises((ScriptSyntaxError, UnknownRule)) as info:
+            parse_script(text, TORUS)
+        assert str(info.value).strip('"') == expected
 
 
 def test_inverted_script_replays_backwards():
