@@ -269,6 +269,11 @@ def verify_script(script: ProofScript) -> VerificationReport:
     return VerificationReport(True, None, f"{len(script.steps)} steps replayed", current)
 
 
+class _SegmentIndex(NamedTuple):
+    segments: dict[tuple[Letter, ...], list[tuple[int, Rule, Direction, tuple[Letter, ...]]]]
+    lengths: tuple[int, ...]  # ascending; 0 for the insertions of FREE_RED RL
+
+
 class Presentation:
     """An immutable rule table."""
 
@@ -277,6 +282,7 @@ class Presentation:
         self._rules: dict[tuple[str, tuple[str, ...]], Rule] = {}
         for rule in rules:
             self._rules[(rule.family, rule.params)] = rule
+        self._index: _SegmentIndex | None = None  # built by the first search
 
     def rule(self, family: str, params: tuple[str, ...] = ()) -> Rule:
         try:
@@ -290,6 +296,21 @@ class Presentation:
 
     def __contains__(self, rule: Rule) -> bool:
         return (rule.family, rule.params) in self._rules
+
+    def _segment_index(self) -> _SegmentIndex:
+        """Every segment a rule rewrites, in either direction, mapped to
+        its rewrites: ``(rank, rule, direction, replacement)``, where rank
+        orders (rule, direction) pairs by rule text, LR before RL.  Built
+        once, on first use."""
+        if self._index is None:
+            segments: dict[tuple[Letter, ...], list] = {}
+            for i, rule in enumerate(sorted(self._rules.values(), key=Rule.render)):
+                for rank, direction in enumerate((Direction.LR, Direction.RL), start=2 * i):
+                    for segment, repl in rule.rewrites(direction).items():
+                        segments.setdefault(segment, []).append(
+                            (rank, rule, direction, repl))
+            self._index = _SegmentIndex(segments, tuple(sorted({len(s) for s in segments})))
+        return self._index
 
 
 def _free_red_rules(names: Iterable[str]) -> list[Rule]:
@@ -449,35 +470,58 @@ class EqualityResult:
     witness: ProofScript | None
 
 
-def _neighbours(letters: tuple[Letter, ...], rules: tuple[Rule, ...]):
-    """All single-step rewrites, in deterministic (rule id, position) order."""
-    for rule in rules:
-        for direction in (Direction.LR, Direction.RL):
-            span = rule.pattern_len(direction)
-            for pos in range(len(letters) - span + 1):
-                repl = rule.match(letters, pos, direction)
-                if repl is not None:
-                    yield (letters[:pos] + repl + letters[pos + span:],
-                           ProofStep(rule, direction, pos))
+#: Search words may grow this many letters past the longer input word.
+SEARCH_SLACK = 8
+
+
+def _neighbours(letters: tuple[Letter, ...], index: _SegmentIndex, limit: int):
+    """Every one-step rewrite of ``letters`` to at most ``limit`` letters,
+    as ``(child, rule, direction, position)``.
+
+    At each position, one lookup per pattern length finds every rule that
+    fires there.  The rewrites come in (rule text, LR before RL, position)
+    order, the order of trying every rule at every position; each rule and
+    direction fires at most once per position, so the order is total."""
+    segments, lengths = index
+    n = len(letters)
+    hits = []
+    for pos in range(n + 1):
+        for k in lengths:
+            if pos + k > n:
+                break
+            found = segments.get(letters[pos:pos + k])
+            if found is not None:
+                room = limit - n + k  # the longest replacement that fits
+                for rank, rule, direction, repl in found:
+                    if len(repl) <= room:
+                        hits.append((rank, pos, k, rule, direction, repl))
+    hits.sort()  # (rank, pos) is unique, so no two hits compare further
+    for _, pos, k, rule, direction, repl in hits:
+        yield letters[:pos] + repl + letters[pos + k:], rule, direction, pos
 
 
 def equal_modulo_rules(u: Word, v: Word, budget: int,
-                       presentation: Presentation | None = None,
-                       slack: int = 8) -> EqualityResult:
+                       presentation: Presentation | None = None) -> EqualityResult:
     """Breadth-first bidirectional search for a rewrite path from u to v.
 
     Returns "equal" only with a replayable script as witness; "unknown"
     never asserts inequality.  ``budget`` caps the number of expanded
-    words; words longer than max(|u|,|v|) + slack are pruned.
+    words; words longer than max(|u|,|v|) + SEARCH_SLACK are pruned.
+    Each expanded word's rewrites are found by segment lookup in the
+    presentation's index (see :func:`_neighbours`) and tried in (rule
+    text, direction, position) order, so the first path found, and the
+    witness, depend only on the words, the budget and the rule set.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     pres = presentation if presentation is not None else torus_presentation(with_h=True)
-    rules = tuple(sorted(pres.rules(), key=lambda r: r.render()))
-    limit = max(len(u), len(v)) + slack
+    index = pres._segment_index()
+    limit = max(len(u), len(v)) + SEARCH_SLACK
 
-    # parents[side][word] = (previous word, step that produced this word)
-    parents: list[dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ProofStep] | None]]
+    # parents[side][word] = (previous word, rule, direction, position) of
+    # the step that produced it; steps are made only for the witness
+    parents: list[dict[tuple[Letter, ...],
+                       tuple[tuple[Letter, ...], Rule, Direction, int] | None]]
     parents = [{u.letters: None}, {v.letters: None}]
     frontiers = [[u.letters], [v.letters]]
     expanded = 0
@@ -485,17 +529,18 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
 
     while meet is None and expanded < budget and (frontiers[0] or frontiers[1]):
         side = 0 if (len(frontiers[0]) <= len(frontiers[1]) and frontiers[0]) or not frontiers[1] else 1
+        seen, other = parents[side], parents[1 - side]
         next_frontier: list[tuple[Letter, ...]] = []
         for node in frontiers[side]:
             if meet is not None or expanded >= budget:
                 break
             expanded += 1
-            for child, step in _neighbours(node, rules):
-                if len(child) > limit or child in parents[side]:
+            for child, rule, direction, pos in _neighbours(node, index, limit):
+                if child in seen:
                     continue
-                parents[side][child] = (node, step)
+                seen[child] = (node, rule, direction, pos)
                 next_frontier.append(child)
-                if child in parents[1 - side]:
+                if child in other:
                     meet = child
                     break
         frontiers[side] = next_frontier
@@ -506,16 +551,14 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     forward: list[ProofStep] = []  # u ..> meet
     node = meet
     while parents[0][node] is not None:
-        prev, step = parents[0][node]  # type: ignore[misc]
-        forward.append(step)
-        node = prev
+        node, rule, direction, pos = parents[0][node]  # type: ignore[misc]
+        forward.append(ProofStep(rule, direction, pos))
     forward.reverse()
     backward: list[ProofStep] = []  # meet ..> v by inverting v-side steps
     node = meet
     while parents[1][node] is not None:
-        prev, step = parents[1][node]  # type: ignore[misc]
-        backward.append(step.inverted())
-        node = prev
+        node, rule, direction, pos = parents[1][node]  # type: ignore[misc]
+        backward.append(ProofStep(rule, direction.flipped(), pos))
     script = ProofScript(u, tuple(forward + backward), v)
     report = verify_script(script)
     if not report.ok:  # pragma: no cover - internal consistency guard

@@ -1,5 +1,6 @@
 """Rewrite rules, proof scripts, the verifier, and the bounded search."""
 
+import hashlib
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from test_words import random_word
 
 TORUS = torus_presentation()
 TORUS_H = torus_presentation(with_h=True)
+_TWISTS = ("b", "a1", "a2", "a3", "c1", "c2", "c3")
 
 
 def step(family, params, direction, pos, pres=TORUS_H):
@@ -349,3 +351,122 @@ def test_search_rejects_nonpositive_budget():
 def test_search_identical_words_give_an_empty_witness():
     result = equal_modulo_rules(word("b a1"), word("b a1"), budget=1)
     assert result.status == "equal" and result.witness.steps == ()
+
+
+def _reference_neighbours(letters, rules):
+    """The search's rewrites as it first found them: every rule, in rule
+    text order, tried in both directions at every position."""
+    for rule in sorted(rules, key=Rule.render):
+        for direction in (Direction.LR, Direction.RL):
+            span = rule.pattern_len(direction)
+            for pos in range(len(letters) - span + 1):
+                repl = rule.match(letters, pos, direction)
+                if repl is not None:
+                    yield letters[:pos] + repl + letters[pos + span:], rule, direction, pos
+
+
+# words every rule set must get right: the empty word, every pattern
+# length (STAR's 12 letters included) and a pattern ending the word
+_EDGE_WORDS = ["", "r", "h b", "b h^-1", "r a2 r", "r r", "s c s^-1", "s^-1 c^-1 s",
+               "s c s^-1 s c s^-1", "c^-1 c", "a3^-1", "c1 c2 c3", "c3^-1 c2^-1 c1^-1",
+               "( b a1 a2 a3 )^3", "( ( b a1 a2 a3 )^3 )^-1", "a1 ( b a1 a2 a3 )^3 r"]
+_NEIGHBOUR_NAMES = {"torus": _TWISTS + ("r", "h"), "torus+h": _TWISTS + ("r", "h"),
+                    "even-power": ("c", "s", "b", "r")}
+
+
+@pytest.mark.parametrize("name", sorted(presentation.PRESENTATIONS))
+def test_segment_lookup_finds_every_rewrite_in_rule_order(name):
+    pres = presentation.PRESENTATIONS[name]()
+    rng = random.Random(7)
+    words = [word(text) for text in _EDGE_WORDS]
+    words += [random_word(rng, rng.randrange(0, 13), _NEIGHBOUR_NAMES[name])
+              for _ in range(1200)]
+    compared = 0
+    for w in words:
+        letters = w.letters
+        expected = list(_reference_neighbours(letters, pres.rules()))
+        # the word at the length limit, one and two letters below it (the
+        # even-power rules change a length by two), and the search's slack
+        for limit in (len(letters) + extra for extra in (0, 1, 2, presentation.SEARCH_SLACK)):
+            found = list(presentation._neighbours(letters, pres._segment_index(), limit))
+            assert found == [n for n in expected if len(n[0]) <= limit], (w, limit)
+            compared += len(found)
+    assert compared > 20_000
+
+
+@pytest.mark.parametrize("u, v, equal_under", [
+    ("s c s^-1 s c s^-1", "c^-1 c^-1", {"even-power"}),
+    ("r b r", "b^-1", {"torus", "torus+h"}),
+    ("h b", "b h", {"torus+h"}),  # one COMMUTE_H step
+])
+def test_search_uses_the_given_presentation(u, v, equal_under):
+    # each rule set in turn, so an index kept for the wrong one shows
+    for _ in range(2):
+        for name, make in presentation.PRESENTATIONS.items():
+            pres = make()
+            result = equal_modulo_rules(word(u), word(v), budget=50, presentation=pres)
+            assert result.status == ("equal" if name in equal_under else "unknown"), name
+            if result.witness is not None:
+                assert verify_script(result.witness).ok
+                assert all(s.rule in pres for s in result.witness.steps)
+
+
+# --- golden search outcomes ------------------------------------------------------
+#
+# The status and witness text of every search in a seeded set of pairs,
+# pinned as one SHA-256.  A change to how the search finds rewrites must
+# move no verdict and no witness.
+
+
+def _rewrite_walk(rng, start, steps):
+    """A seeded self-avoiding walk of non-FREE_RED steps from ``start``,
+    found with the public Rule.match; no step grows the word past
+    |start| + 3 letters."""
+    rules = [r for r in TORUS_H.rules() if r.family != "FREE_RED"]
+    current, seen = start, {start}
+    for _ in range(steps):
+        children = []
+        for rule in rules:
+            for direction in (Direction.LR, Direction.RL):
+                for pos in range(len(current) - rule.pattern_len(direction) + 1):
+                    if rule.match(current.letters, pos, direction) is not None:
+                        child = apply_rule(current, ProofStep(rule, direction, pos))
+                        if len(child) <= len(start) + 3 and child not in seen:
+                            children.append(child)
+        if not children:
+            break
+        current = rng.choice(children)
+        seen.add(current)
+    return current
+
+
+def _golden_pairs():
+    """40 pairs of a random twist word and a rewrite walk from it, then 20
+    pairs of two random twist words; every third searched under torus."""
+    rng = random.Random(8)
+    pairs = []
+    for i in range(60):
+        u = random_word(rng, 3 + i % 5, _TWISTS)
+        v = (_rewrite_walk(rng, u, 1 + i % 5) if i < 40
+             else random_word(rng, 3 + i % 5, _TWISTS))
+        pairs.append((u, v, TORUS if i % 3 == 0 else None))
+    return pairs
+
+
+# taken before the search looked rewrites up by segment: 36 "equal" with
+# witnesses of 1 to 3 steps, 24 "unknown"
+GOLDEN_SEARCH_DIGEST = "015a4305ab9d4ddfba73e4a37e327cc3b41baf5a64d24ff8cd42e4d79407bf76"
+
+
+def test_search_outcomes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    statuses = []
+    for u, v, pres in _golden_pairs():
+        result = equal_modulo_rules(u, v, budget=60, presentation=pres)
+        statuses.append(result.status)
+        digest.update(result.status.encode())
+        if result.witness is not None:
+            assert verify_script(result.witness).ok
+            digest.update(format_script(result.witness).encode())
+    assert statuses.count("equal") == 36
+    assert digest.hexdigest() == GOLDEN_SEARCH_DIGEST
