@@ -2,7 +2,7 @@
 
 The toolkit has four layers:
 
-* :mod:`twistcert.words`        -- group words over the twist alphabet;
+* :mod:`twistcert.words`        -- group words over the generator table;
 * :mod:`twistcert.presentation` -- the three-holed-torus rewrite rules,
   proof scripts and their verifier;
 * :mod:`twistcert.homology`     -- exact integer homology representations
@@ -12,10 +12,7 @@ The toolkit has four layers:
 """
 
 from .words import (
-    DEFAULT_ALPHABET,
-    Alphabet,
-    Generator,
-    GeneratorKind,
+    GENERATORS,
     Letter,
     Word,
     WordSyntaxError,

@@ -47,6 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep
 from .presentation import (
+    BOUNDARY,
     PRESENTATIONS,
     Direction,
     PatternMismatch,
@@ -66,7 +67,6 @@ P_WORD = word("b a2 a3 b a1 a2 c2^-1")
 Q_WORD = word("c3^-1 b a2 a3 b a1 a2")
 C1 = word("c1")
 _C = word("c")
-_CENTRAL_NAMES = ("c1", "c2", "c3")
 
 
 def mirror_local_steps(steps: Iterable[ProofStep], window_len: int) -> tuple[ProofStep, ...]:
@@ -208,11 +208,11 @@ def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> tu
     the swapped pair.  Raise AssertionError if neither letter is a
     boundary twist or both twist about the same curve, and UnknownRule if
     ``presentation`` lacks the rule."""
-    if mover.name in _CENTRAL_NAMES:
+    if mover.name in BOUNDARY:
         if left.name == mover.name:
             raise AssertionError("cannot swap a central letter past itself")
         rule, direction = presentation.rule("CENTRAL", (mover.name, left.name)), Direction.RL
-    elif left.name in _CENTRAL_NAMES:
+    elif left.name in BOUNDARY:
         rule, direction = presentation.rule("CENTRAL", (left.name, mover.name)), Direction.LR
     else:
         raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
@@ -265,8 +265,12 @@ class MembershipRecord:
 
     det_x: int
     det_y: int | None
-    conditional: bool
     note: str
+
+    @property
+    def conditional(self) -> bool:
+        """No determinant is recorded for y: its membership is argued in the note."""
+        return self.det_y is None
 
     @property
     def ok(self) -> bool:
@@ -360,7 +364,7 @@ def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
     flavours that carry none."""
     if flavor == "even-power-twist":
         return MembershipRecord(
-            1, 1, False,
+            1, 1,
             "x is a twist power; s is chosen in the twist subgroup by composing "
             "with a crosscap slide in the nonorientable complement piece")
     if flavor != "twist-subgroup":
@@ -368,12 +372,12 @@ def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
     det_x = det_hom(x, surface)  # twists only
     if case.forced_rh:
         return MembershipRecord(
-            det_x, None, True,
+            det_x, None,
             "reflection determinant unrecorded for this embedding; exactly one "
             "of a1^-1 r and a1^-1 r h lies in the twist subgroup, and the "
             "emitted rh form is the member whenever the reflection is not")
     det_y = det_hom(y, surface, k=case.k, r_det=case.r_det)
-    return MembershipRecord(det_x, det_y, False,
+    return MembershipRecord(det_x, det_y,
                             f"reflection determinant {case.r_det:+d} recorded for the embedding")
 
 

@@ -205,24 +205,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
             raise Unrealizable(f"cannot parse range {args.n_range!r}; expected a..b") from None
-        ns = list(range(lo, hi + 1))
-        if not ns:
+        if lo > hi:
             raise Unrealizable(f"range {args.n_range!r} is empty; expected a..b with a <= b")
     else:
-        ns = [args.n]
-    for n in ns:
-        if abs(n) > args.max_n:
-            raise Unrealizable(f"|n| = {abs(n)} exceeds the script limit {args.max_n}; "
-                               "raise --max-n to force generation")
-    first = True
-    for n in ns:
+        lo = hi = args.n
+    # check the endpoints before anything is built; name the first n past the limit
+    if lo < -args.max_n or hi > args.max_n:
+        n = lo if abs(lo) > args.max_n else args.max_n + 1
+        raise Unrealizable(f"|n| = {abs(n)} exceeds the script limit {args.max_n}; "
+                           "raise --max-n to force generation")
+    for n in range(lo, hi + 1):
         cert = build_certificate(surface, curve, n, flavor, args.r_det)
-        if not first:
+        if n != lo:
             print()
         print(format_certificate(cert), end="")
-        first = False
         if args.emit_script is not None:
-            path = args.emit_script if len(ns) == 1 else args.emit_script.with_name(
+            path = args.emit_script if lo == hi else args.emit_script.with_name(
                 f"{args.emit_script.stem}_n{n}{args.emit_script.suffix}")
             path.write_text(format_script(cert.script))
     return 0
@@ -349,7 +347,6 @@ def parse_certificate(text: str) -> Certificate:
     if fields["membership-x"] != "-":
         det_y = None if fields["membership-y"] == "conditional" else int(fields["membership-y"])
         membership = MembershipRecord(int(fields["membership-x"]), det_y,
-                                      fields["membership-y"] == "conditional",
                                       fields["membership-note"])
     return Certificate(
         flavor=fields["flavor"],

@@ -26,12 +26,12 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .words import DEFAULT_ALPHABET, GeneratorKind, Word
+from .words import GENERATORS, Word
 
 
-class MissingGenerator(KeyError):
-    def __init__(self, name: str):
-        super().__init__(name)
+class MissingGenerator(ValueError):
+    def __init__(self, name: str, assignment_id: str):
+        super().__init__(f"generator {name!r} has no matrix in the {assignment_id} assignment")
         self.name = name
 
 
@@ -236,7 +236,7 @@ class HomologyAssignment:
         try:
             return self.matrices[name] if sign > 0 else self._inverses[name]
         except KeyError:
-            raise MissingGenerator(name) from None
+            raise MissingGenerator(name, self.assignment_id) from None
 
 
 def evaluate_rep(w: Word, assignment: HomologyAssignment) -> IntMatrix:
@@ -343,6 +343,15 @@ def reflection_matrix_fig2(k: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def fig2_reflection_det(k: int) -> int:
+    """The determinant of :func:`reflection_matrix_fig2`, (-1)^k, without
+    building the matrix: it is upper triangular, and k + 2 of its diagonal
+    entries are -1."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return -1 if k % 2 else 1
+
+
 def fig2_class_vector(k: int, curve_label: str) -> tuple[int, ...]:
     """Homology class of a labelled fig2 curve; c1 is null-homologous."""
     labels = fig2_basis_labels(k)
@@ -392,9 +401,11 @@ def _default_functionals(v: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-_DET_BY_KIND = {
-    GeneratorKind.TWIST: 1,
-    GeneratorKind.COMPLEMENT_HOMEO: -1,  # crosscap slide
+_DET_BY_KIND = {"twist": 1, "crosscap-slide": -1}
+_NO_DET_BY_KIND = {  # the UndefinedDet reason of each kind without a value
+    None: "unknown generator",
+    "reflection": "no embedding determinant recorded",
+    "curve-reverser": "membership is decided by construction, not by determinant",
 }
 
 
@@ -412,19 +423,12 @@ def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None) ->
         raise ValueError("r_det must be +1 or -1")
     result = 1
     for lt in w:
-        if lt.name not in DEFAULT_ALPHABET:
-            raise UndefinedDet(lt.name, "unknown generator")
-        kind = DEFAULT_ALPHABET[lt.name].kind
-        if kind is GeneratorKind.REFLECTION:
-            if r_det is not None:
-                value = r_det
-            elif k is not None:
-                value = reflection_matrix_fig2(k).det()
-            else:
-                raise UndefinedDet(lt.name, "no embedding determinant recorded")
-        elif kind in _DET_BY_KIND:
+        kind = GENERATORS.get(lt.name)
+        if kind in _DET_BY_KIND:
             value = _DET_BY_KIND[kind]
+        elif kind == "reflection" and (r_det is not None or k is not None):
+            value = r_det if r_det is not None else fig2_reflection_det(k)
         else:
-            raise UndefinedDet(lt.name, "membership is decided by construction, not by determinant")
+            raise UndefinedDet(lt.name, _NO_DET_BY_KIND[kind])
         result *= value  # sign of the exponent never changes a value in {-1, 1}
     return result

@@ -36,7 +36,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .words import DEFAULT_ALPHABET, Letter, Word, letter, word
+from .words import GENERATORS, Letter, Word, letter, word
 
 #: The reflection's action on curves: fixes b, a1, c1 and swaps a2/a3, c2/c3.
 SIGMA = {
@@ -50,13 +50,14 @@ SIGMA = {
 }
 
 _TORUS_GENS = ("b", "a1", "a2", "a3", "c1", "c2", "c3")
-_BOUNDARY = ("c1", "c2", "c3")
+#: The boundary twists of the three-holed torus, central in its rules.
+BOUNDARY = ("c1", "c2", "c3")
 _DISJOINT_PAIRS = {frozenset(p) for p in (("a1", "a2"), ("a1", "a3"), ("a2", "a3"))}
-for _c in _BOUNDARY:
+for _c in BOUNDARY:
     for _g in _TORUS_GENS:
         if _g != _c:
             _DISJOINT_PAIRS.add(frozenset((_c, _g)))
-_INVERTIBLE = frozenset(n for n in DEFAULT_ALPHABET if not DEFAULT_ALPHABET.is_involution(n))
+_INVERTIBLE = frozenset(n for n, kind in GENERATORS.items() if kind != "reflection")
 
 
 def _equations(family: str, params: tuple[str, ...]) -> list[tuple[str, str]] | None:
@@ -70,7 +71,7 @@ def _equations(family: str, params: tuple[str, ...]) -> list[tuple[str, str]] | 
             return _with_inverted(f"b {ai} b", f"{ai} b {ai}")
         case "STAR", ():
             return _with_inverted("c1 c2 c3", " ".join(["b a1 a2 a3"] * 3))
-        case "CENTRAL", (ci, g) if ci in _BOUNDARY and g in _TORUS_GENS and g != ci:
+        case "CENTRAL", (ci, g) if ci in BOUNDARY and g in _TORUS_GENS and g != ci:
             return [(f"{ci}^e {g}^f", f"{g}^f {ci}^e")]
         case "CONJ_REFLECT", (g,) if g in SIGMA:
             return [(f"r {g}^e r", f"{SIGMA[g]}^-e")]
@@ -338,7 +339,7 @@ def _torus_presentation(with_h: bool) -> Presentation:
     for ai in ("a1", "a2", "a3"):
         rules.append(Rule("BRAID", ("b", ai)))
     rules.append(Rule("STAR"))
-    for ci in _BOUNDARY:
+    for ci in BOUNDARY:
         for g in _TORUS_GENS:
             if g != ci:
                 rules.append(Rule("CENTRAL", (ci, g)))

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .homology import reflection_matrix_fig2
+from .homology import fig2_reflection_det
 
 
 class Unrealizable(ValueError):
@@ -248,7 +248,7 @@ def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str,
                     conjectural=True)
             if surface.genus < 6:
                 raise OutOfScope("orientable-complement certificates need genus >= 6")
-            det = reflection_matrix_fig2(k).det()
+            det = fig2_reflection_det(k)
             return TheoremCase("T2-twist", "T2-orientable-complement", 6,
                                "r" if det == 1 else "rh", surface, curve,
                                k=k, r_det=det)

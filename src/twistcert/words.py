@@ -1,14 +1,17 @@
-"""Value-semantic group words over a named generator alphabet.
+"""Value-semantic group words over the generators in ``GENERATORS``.
+
+``GENERATORS`` maps each name a word may use to its kind; parsing rejects
+any other name, and every layer that asks what a generator is reads it.
 
 A word is a finite sequence of signed letters.  Words are *not* reduced on
 construction: the rewriting layer works with literal letter sequences and
 performs every cancellation as an explicit step.  Group-level operations
 (`free_reduce`, `invert`, `power`, `commutator`) return reduced words.
 
-The generator ``r`` is an involution (r^2 = 1); free reduction normalises
-its exponent to +1 and cancels adjacent ``r r`` pairs.  This is the only
-torsion relation living at the word layer; everything else belongs to the
-rewrite-rule layer.
+The reflection ``r`` is the one involution (r^2 = 1); free reduction
+normalises its exponent to +1 and cancels adjacent ``r r`` pairs.  This is
+the only torsion relation living at the word layer; everything else
+belongs to the rewrite-rule layer.
 
 Word text grammar (bit-exact):
 
@@ -25,19 +28,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class WordSyntaxError(ValueError):
     """Raised for text that does not match the word grammar."""
-
-
-class GeneratorKind(Enum):
-    TWIST = "twist"
-    REFLECTION = "reflection"
-    COMPLEMENT_HOMEO = "complement-homeo"
-    CURVE_REVERSER = "curve-reverser"
 
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
@@ -46,75 +41,13 @@ _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 #: word a certificate needs, [P^n, Y], has 14|n| + 4 letters.
 MAX_EXPANDED_LETTERS = 2 ** 20
 
-
-@dataclass(frozen=True)
-class Generator:
-    """A named generator.  Twists carry the name of the curve they twist about."""
-
-    name: str
-    kind: GeneratorKind
-    curve: str | None = None
-
-    def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid generator name {self.name!r}")
-        if self.kind is GeneratorKind.TWIST:
-            if self.curve is None:
-                raise ValueError(f"twist generator {self.name!r} needs a curve name")
-        elif self.curve is not None:
-            raise ValueError(f"non-twist generator {self.name!r} cannot carry a curve")
-
-
-class Alphabet:
-    """Immutable name -> Generator table."""
-
-    def __init__(self, generators: Iterable[Generator]):
-        table: dict[str, Generator] = {}
-        for gen in generators:
-            if gen.name in table:
-                raise ValueError(f"duplicate generator name {gen.name!r}")
-            table[gen.name] = gen
-        self._table = table
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
-    def __getitem__(self, name: str) -> Generator:
-        return self._table[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._table)
-
-    def is_involution(self, name: str) -> bool:
-        gen = self._table.get(name)
-        return gen is not None and gen.kind is GeneratorKind.REFLECTION
-
-
-def twist(name: str, curve: str | None = None) -> Generator:
-    return Generator(name, GeneratorKind.TWIST, curve if curve is not None else name)
-
-
-#: Default alphabet: twists about the curves of the three-holed torus, the
-#: reflection r, the complement homeomorphism h (a crosscap slide), the
-#: generic twist c and its neighbourhood-reversing homeomorphism s.
-DEFAULT_ALPHABET = Alphabet(
-    [
-        twist("b"),
-        twist("a1"),
-        twist("a2"),
-        twist("a3"),
-        twist("c1"),
-        twist("c2"),
-        twist("c3"),
-        Generator("r", GeneratorKind.REFLECTION),
-        Generator("h", GeneratorKind.COMPLEMENT_HOMEO),
-        twist("c"),
-        Generator("s", GeneratorKind.CURVE_REVERSER),
-    ]
-)
+#: The twists about the curves of the three-holed torus, the reflection r,
+#: the crosscap slide h, and the generic twist c with its curve reverser s.
+GENERATORS = {
+    "b": "twist", "a1": "twist", "a2": "twist", "a3": "twist",
+    "c1": "twist", "c2": "twist", "c3": "twist",
+    "r": "reflection", "h": "crosscap-slide", "c": "twist", "s": "curve-reverser",
+}
 
 
 class Letter(NamedTuple):
@@ -202,7 +135,7 @@ def _parse_tokens(tokens: list[str], lo: int, hi: int) -> list[Letter]:
             raise WordSyntaxError("unbalanced ')' in word")
         else:
             lt = letter(tok)
-            if lt.name not in DEFAULT_ALPHABET:
+            if lt.name not in GENERATORS:
                 raise WordSyntaxError(f"unknown generator {lt.name!r}")
             out.append(lt)
             i += 1
@@ -220,7 +153,7 @@ def concat(*words: Word) -> Word:
 def _cancels(a: Letter, b: Letter) -> bool:
     if a.name != b.name:
         return False
-    if DEFAULT_ALPHABET.is_involution(a.name):
+    if GENERATORS.get(a.name) == "reflection":
         return True  # signs are already normalised to +1
     return a.sign == -b.sign
 
@@ -230,7 +163,7 @@ def free_reduce(w: Word) -> Word:
     normalise involution exponents to +1.  Idempotent; never lengthens."""
     out: list[Letter] = []
     for lt in w.letters:
-        if lt.sign < 0 and DEFAULT_ALPHABET.is_involution(lt.name):
+        if lt.sign < 0 and GENERATORS.get(lt.name) == "reflection":
             lt = Letter(lt.name, 1)
         if out and _cancels(out[-1], lt):
             out.pop()

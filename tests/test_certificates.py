@@ -257,7 +257,7 @@ def test_membership_records_are_compared_as_a_whole():
         "membership-x: -\nmembership-y: -\nmembership-note: -",
         "membership-x: -1\nmembership-y: -1\nmembership-note: forged")
     parsed = parse_certificate(text)
-    assert parsed.membership == MembershipRecord(-1, -1, False, "forged")
+    assert parsed.membership == MembershipRecord(-1, -1, "forged")
     report = verify_certificate(parsed)
     assert not report.ok and report.membership_ok is None
     assert "carry no membership record" in report.message

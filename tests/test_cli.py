@@ -53,6 +53,16 @@ def test_rep_check_star_word(capsys):
     assert "identity: yes" in out
 
 
+@pytest.mark.parametrize("name, assignment", [("h", "genus3"), ("s", "genus3"),
+                                              ("s", "genus3-h")])
+def test_rep_check_of_a_generator_the_assignment_lacks_is_a_usage_error(
+        capsys, name, assignment):
+    code, out, err = invoke(capsys, "rep-check", "--word", f"b {name}",
+                            "--assignment", assignment)
+    assert code == 2 and out == ""
+    assert err == f"error: generator {name!r} has no matrix in the {assignment} assignment\n"
+
+
 def test_classify_output(capsys):
     code, out, _ = invoke(capsys, "classify", "--surface", "n:8", "--curve", "nonsep:oc")
     assert code == 0
@@ -119,6 +129,18 @@ def test_certify_respects_the_script_limit(capsys):
     code, out, _ = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
                           "--flavor", "extended", "--n", "40", "--max-n", "40")
     assert code == 0
+
+
+def test_a_huge_n_range_is_refused_before_it_is_expanded(capsys):
+    # the endpoints are checked first: no list of 10^12 exponents is built
+    code, out, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
+                            "--flavor", "extended", "--n-range=0..1000000000000")
+    assert code == 2 and out == ""
+    assert "|n| = 33 exceeds the script limit 32; raise --max-n" in err
+    code, out, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
+                            "--flavor", "extended", "--n-range=-1000000000000..0")
+    assert code == 2 and out == ""
+    assert "|n| = 1000000000000 exceeds the script limit 32" in err
 
 
 def test_unknown_flag_is_rejected(capsys):

@@ -8,6 +8,7 @@ multiply so nothing here depends on the module under test.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from twistcert import (
     twist_det_is_one_fig2,
     word,
 )
-from twistcert.homology import NonInvertibleAssignment, HomologyAssignment
+from twistcert.homology import NonInvertibleAssignment, HomologyAssignment, fig2_reflection_det
 
 from test_words import random_word
 
@@ -366,6 +367,24 @@ def test_reflection_matrix_det_and_square(k):
     assert m.det() == (-1) ** k
     assert det_oracle(m.rows) == (-1) ** k
     assert (m * m).is_identity()
+
+
+@pytest.mark.parametrize("k", range(0, 41))
+def test_reflection_det_is_the_determinant_of_the_matrix(k):
+    assert fig2_reflection_det(k) == reflection_matrix_fig2(k).det() == (-1) ** k
+
+
+def test_reflection_det_needs_a_nonnegative_k():
+    with pytest.raises(ValueError, match="nonnegative"):
+        fig2_reflection_det(-1)
+
+
+def test_det_hom_at_a_large_genus_builds_no_matrix():
+    start = time.perf_counter()
+    assert det_hom(word("a1^-1 r"), SurfaceSpec(False, 2006), k=1000) == 1
+    assert det_hom(word("r b r"), SurfaceSpec(False, 2008), k=1001) == 1
+    assert det_hom(word("r"), SurfaceSpec(False, 2008), k=1001) == -1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_twist_det_is_one_fig2():

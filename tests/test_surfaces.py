@@ -1,5 +1,6 @@
 """Curve classification and per-case admissibility."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,13 @@ def test_twist_subgroup_three_bullets():
 
     case = select_case(SurfaceSpec(False, 10), NONSEP_OC, "twist-subgroup")
     assert case.k == 2 and case.r_det == 1 and case.y_choice == "r"
+
+
+def test_orientable_complement_case_selection_at_a_large_genus_builds_no_matrix():
+    start = time.perf_counter()
+    case = select_case(SurfaceSpec(False, 2006), NONSEP_OC, "twist-subgroup")
+    assert time.perf_counter() - start < 1.0
+    assert case.k == 1000 and case.r_det == 1 and case.y_choice == "r"
 
 
 def test_twist_subgroup_recorded_determinant_switches_y():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from twistcert import (
-    DEFAULT_ALPHABET,
     Letter,
     Word,
     WordSyntaxError,
@@ -32,13 +31,13 @@ def random_word(rng, length, names=_NAMES):
 def _pair_cancels(a, b):
     if a.name != b.name:
         return False
-    if DEFAULT_ALPHABET.is_involution(a.name):
+    if a.name == "r":
         return True
     return a.sign == -b.sign
 
 
 def oracle_reduce(w, pick="leftmost"):
-    letters = [Letter(lt.name, 1) if DEFAULT_ALPHABET.is_involution(lt.name) else lt
+    letters = [Letter(lt.name, 1) if lt.name == "r" else lt
                for lt in w.letters]
     while True:
         positions = [i for i in range(len(letters) - 1)
@@ -165,3 +164,52 @@ def test_group_powers_are_bounded_before_they_are_expanded():
                  "( ( b a1 )^1024 )^1024"]:   # nested groups multiply
         with pytest.raises(WordSyntaxError, match="past"):
             word(text)
+
+
+# --- what each generator is, pinned across every layer that asks: parsing,
+# --- free reduction, the determinant homomorphism and the FREE_RED rules
+
+_DET_AT_GENUS_6 = {  # det_hom on n:6 with k = 0, or its UndefinedDet message
+    "b": 1, "a1": 1, "a2": 1, "a3": 1, "c1": 1, "c2": 1, "c3": 1, "c": 1,
+    "r": 1,  # (-1)^k
+    "h": -1,
+    "s": "no determinant value for generator 's': membership is decided by "
+         "construction, not by determinant",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DET_AT_GENUS_6))
+def test_each_generator_parses_reduces_and_has_its_determinant(name):
+    from twistcert import SurfaceSpec, UndefinedDet, det_hom
+
+    assert word(name).letters == (Letter(name, 1),)
+    assert word(f"{name}^-1").letters == (Letter(name, -1),)
+    assert (free_reduce(word(f"{name} {name}")) == Word()) == (name == "r")
+    surface = SurfaceSpec(orientable=False, genus=6)
+    expected = _DET_AT_GENUS_6[name]
+    if isinstance(expected, int):
+        assert det_hom(word(name), surface, k=0) == expected
+    else:
+        with pytest.raises(UndefinedDet) as exc:
+            det_hom(word(name), surface, k=0)
+        assert str(exc.value) == expected
+
+
+def test_unknown_generators_have_no_determinant_and_do_not_parse():
+    from twistcert import SurfaceSpec, UndefinedDet, det_hom
+
+    with pytest.raises(UndefinedDet, match="'z': unknown generator"):
+        det_hom(Word((Letter("z", 1),)), SurfaceSpec(orientable=False, genus=6), k=0)
+    with pytest.raises(WordSyntaxError, match="unknown generator 'z'"):
+        word("z")
+
+
+def test_the_rules_derived_from_the_generators_are_pinned():
+    import hashlib
+
+    from twistcert.presentation import every_rule
+
+    texts = sorted(rule.render() for rule in every_rule().rules())
+    assert len(texts) == 76
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "2145426e69aaebd908b305c70bf317f89a08728c9dc10883ecc4f9e4bf8a8bd1")
