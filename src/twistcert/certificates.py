@@ -98,17 +98,16 @@ def _inverse(letters):
 
 
 # The two derivation chains ship as proof-script fixtures, their only source.
+# Chain A rewrites c1 c2 c3 through the star relation to the squared word
+# (b a2 a3 b a1 a2)^2, on a 3-letter window (grows to 12).
 _CHAIN_A = parse_script(fixture_path("chain_a.proof").read_text(), torus_presentation())
 _CHAIN_B = parse_script(fixture_path("chain_b.proof").read_text(), torus_presentation())
 
-# the star expansion (b a1 a2 a3)^3 rewritten to the squared word
-# (b a2 a3 b a1 a2)^2, on a 12-letter window: chain A after its STAR step
-CHAIN_A_TAIL = _CHAIN_A.steps[1:]
 # c3^-1 a3 a1 b a2 a3 b rewritten to a1 (c3^-1 b a2 a3 b a1 a2) a1^-1,
 # on a 7-letter window (grows to 9)
 CHAIN_B_STEPS = _CHAIN_B.steps
 
-CHAIN_A_TAIL_MIRROR = mirror_local_steps(CHAIN_A_TAIL, len(_CHAIN_A.end))
+CHAIN_A_MIRROR = mirror_local_steps(_CHAIN_A.steps, len(_CHAIN_A.start))
 CHAIN_B_MIRROR = mirror_local_steps(CHAIN_B_STEPS, len(_CHAIN_B.start))
 
 
@@ -244,16 +243,14 @@ def build_rel1(n: int) -> Rel1:
         if n > 0:
             builder.apply("FREE_RED", ("c2",), Direction.RL, p + 1)
             builder.apply("FREE_RED", ("c3",), Direction.RL, p + 2)
-            builder.apply("STAR", (), Direction.LR, p)
-            builder.apply_steps(CHAIN_A_TAIL, offset=p)
+            builder.apply_steps(_CHAIN_A.steps, offset=p)
         else:
             builder.apply("FREE_RED", ("c2^-1",), Direction.RL, p)
             builder.apply("CENTRAL", ("c2", "c1"), Direction.LR, p + 1)
             builder.apply("FREE_RED", ("c3^-1",), Direction.RL, p)
             builder.apply("CENTRAL", ("c3", "c2"), Direction.LR, p + 1)
             builder.apply("CENTRAL", ("c3", "c1"), Direction.LR, p + 2)
-            builder.apply("STAR", (), Direction.LR, p)
-            builder.apply_steps(CHAIN_A_TAIL_MIRROR, offset=p)
+            builder.apply_steps(CHAIN_A_MIRROR, offset=p)
     _central_rearrange(builder, rhs.letters)
     return Rel1(n, lhs, rhs, builder.finish(rhs))
 
@@ -385,7 +382,7 @@ def _commutator_script(y_choice: str, claim: Claim, x: Word, target: Word,
                        n: int) -> ProofScript:
     """Script from the written commutator [x, y] down to the target, over
     the claim's rules."""
-    builder = ScriptBuilder(commutator(x, claim.y), PRESENTATIONS[claim.rules]())
+    builder = ScriptBuilder(commutator(x, claim.y), PRESENTATIONS[claim.rules])
     m = abs(n)
     if y_choice == "s":
         # each s c^(+-1) s^-1 collapses once the s^-1 s pairs are inserted
@@ -507,7 +504,7 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     else:
         claim_problems = _claim_problems(cert, claim)
         problems.extend(claim_problems)
-        presentation = PRESENTATIONS[claim.rules]()
+        presentation = PRESENTATIONS[claim.rules]
         foreign_step = _foreign_rule_step(cert.script, presentation)
         if foreign_step is not None:
             rule = cert.script.steps[foreign_step - 1].rule

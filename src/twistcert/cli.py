@@ -144,7 +144,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_script(args: argparse.Namespace) -> int:
-    script = parse_script(args.path.read_text(), PRESENTATIONS[args.rules]())
+    script = parse_script(args.path.read_text(), PRESENTATIONS[args.rules])
     report = verify_script(script)
     print(f"start: {script.start}")
     print(f"steps: {len(script.steps)}")

@@ -414,13 +414,17 @@ def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None) ->
 
     Twists map to +1, crosscap slides to -1, the reflection to the
     determinant of its homology action for the chosen embedding: (-1)^k
-    for the fig2 embedding, or an explicitly recorded value ``r_det``.
-    The value +1 decides membership in the twist subgroup.
+    for the fig2 embedding, or an explicitly recorded value ``r_det``, which
+    must agree with (-1)^k when both are given.  The value +1 decides
+    membership in the twist subgroup.
     """
     if surface.orientable:
         raise ValueError("the determinant homomorphism is defined for nonorientable surfaces")
     if r_det is not None and r_det not in (1, -1):
         raise ValueError("r_det must be +1 or -1")
+    if r_det is not None and k is not None and r_det != fig2_reflection_det(k):
+        raise ValueError(f"r_det {r_det:+d} contradicts the determinant "
+                         f"{fig2_reflection_det(k):+d} of the k={k} embedding")
     result = 1
     for lt in w:
         kind = GENERATORS.get(lt.name)

@@ -16,9 +16,14 @@ Every rule is one equation between two letter segments, stated once in
 ``e`` and ``f`` are sign variables ranging over +1 and -1.  BRAID and STAR
 also list the all-inverted copy of their relation; mixed signs never
 match.  Rules are bidirectional: ``LR`` replaces the left side of the
-equation by the right one at a position, ``RL`` the converse.  Each rule
-instance is compiled once, when it is constructed, into a table from
-every segment it rewrites to the replacement, so matching is one lookup.
+equation by the right one at a position, ``RL`` the converse.
+
+Which instances exist is stated once too: the three rule sets (``torus``,
+``torus+h``, ``even-power``) are one table of ordered ``(family, params)``
+keys, and a rule exists exactly when some rule set lists it.  Each
+instance is compiled once, at import, into a table from every segment it
+rewrites to the replacement, so matching is one lookup; every rule set,
+the script parser and the search share those objects.
 
 A proof script is a start word, a step list and an end word; replaying
 the steps must reproduce the end word letter for letter -- there is no
@@ -52,38 +57,59 @@ SIGMA = {
 _TORUS_GENS = ("b", "a1", "a2", "a3", "c1", "c2", "c3")
 #: The boundary twists of the three-holed torus, central in its rules.
 BOUNDARY = ("c1", "c2", "c3")
-_DISJOINT_PAIRS = {frozenset(p) for p in (("a1", "a2"), ("a1", "a3"), ("a2", "a3"))}
-for _c in BOUNDARY:
-    for _g in _TORUS_GENS:
-        if _g != _c:
-            _DISJOINT_PAIRS.add(frozenset((_c, _g)))
 _INVERTIBLE = frozenset(n for n, kind in GENERATORS.items() if kind != "reflection")
 
 
-def _equations(family: str, params: tuple[str, ...]) -> list[tuple[str, str]] | None:
-    """The LR equations ``(lhs, rhs)`` of a rule instance, in the word
-    grammar with sign variables (``x^e``, ``x^-f``); None if the instance
-    is not a relation of the presentations."""
+def _equations(family: str, params: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The LR equations ``(lhs, rhs)`` of a rule instance in the table,
+    in the word grammar with sign variables (``x^e``, ``x^-f``)."""
     match family, params:
-        case "COMMUTE", (x, y) if frozenset(params) in _DISJOINT_PAIRS:
+        case "COMMUTE", (x, y):
             return [(f"{x}^e {y}^f", f"{y}^f {x}^e")]
-        case "BRAID", ("b", ai) if ai in ("a1", "a2", "a3"):
-            return _with_inverted(f"b {ai} b", f"{ai} b {ai}")
+        case "BRAID", (b, ai):
+            return _with_inverted(f"{b} {ai} {b}", f"{ai} {b} {ai}")
         case "STAR", ():
             return _with_inverted("c1 c2 c3", " ".join(["b a1 a2 a3"] * 3))
-        case "CENTRAL", (ci, g) if ci in BOUNDARY and g in _TORUS_GENS and g != ci:
+        case "CENTRAL", (ci, g):
             return [(f"{ci}^e {g}^f", f"{g}^f {ci}^e")]
-        case "CONJ_REFLECT", (g,) if g in SIGMA:
+        case "CONJ_REFLECT", (g,):
             return [(f"r {g}^e r", f"{SIGMA[g]}^-e")]
-        case "REVERSE_S", ("c",):
-            return [("s c^e s^-1", "c^-e")]
-        case "COMMUTE_H", (g,) if g in _TORUS_GENS:
+        case "REVERSE_S", (c,):
+            return [(f"s {c}^e s^-1", f"{c}^-e")]
+        case "COMMUTE_H", (g,):
             return [(f"h^e {g}^f", f"{g}^f h^e")]
-        case "FREE_RED", (x,) if x.removesuffix("^-1") in _INVERTIBLE:
-            return [(f"{x} {letter(x).inverse()}", "")]
         case "FREE_RED", ("r",):
             return [("r r", "")]
-    return None
+        case "FREE_RED", (x,):
+            return [(f"{x} {letter(x).inverse()}", "")]
+
+
+def _free_red(*names: str) -> list[tuple[str, tuple[str, ...]]]:
+    """The FREE_RED keys of each name, then of its inverse if it has one."""
+    return [("FREE_RED", (x,)) for name in names
+            for x in ((name, f"{name}^-1") if name in _INVERTIBLE else (name,))]
+
+
+_TORUS_RELATIONS = [
+    *(("COMMUTE", pair) for pair in sorted(
+        {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
+        | {tuple(sorted((c, g))) for c in BOUNDARY for g in _TORUS_GENS if g != c})),
+    *(("BRAID", ("b", ai)) for ai in ("a1", "a2", "a3")),
+    ("STAR", ()),
+    *(("CENTRAL", (c, g)) for c in BOUNDARY for g in _TORUS_GENS if g != c),
+    *(("CONJ_REFLECT", (g,)) for g in _TORUS_GENS),
+]
+
+#: Every rule set, as the ordered keys ``(family, params)`` of its rules.
+_RULE_SETS = {
+    "torus": _TORUS_RELATIONS + _free_red(*_TORUS_GENS, "r"),
+    "torus+h": _TORUS_RELATIONS + [("COMMUTE_H", (g,)) for g in _TORUS_GENS]
+               + _free_red(*_TORUS_GENS, "r", "h"),
+    "even-power": [("REVERSE_S", ("c",))] + _free_red("c", "s"),
+}
+#: The keys of every rule instance, in rule-set order: a rule exists
+#: exactly when some rule set lists it.
+_RULE_KEYS = dict.fromkeys(key for keys in _RULE_SETS.values() for key in keys)
 
 
 def _with_inverted(lhs: str, rhs: str) -> list[tuple[str, str]]:
@@ -150,11 +176,10 @@ class Rule:
     _texts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        equations = _equations(self.family, self.params)
-        if equations is None:
+        if (self.family, self.params) not in _RULE_KEYS:
             raise ValueError(f"{self.render()} is not a rule of the presentations")
         lr = {}
-        for lhs, rhs in equations:
+        for lhs, rhs in _equations(self.family, self.params):
             for e, f in product((1, -1), repeat=2):
                 signs = {"e": e, "f": f}
                 lr[_letters(lhs, signs)] = _letters(rhs, signs)
@@ -314,70 +339,32 @@ class Presentation:
         return self._index
 
 
-def _free_red_rules(names: Iterable[str]) -> list[Rule]:
-    out = []
-    for name in names:
-        out.append(Rule("FREE_RED", (name,)))
-        if name in _INVERTIBLE:
-            out.append(Rule("FREE_RED", (f"{name}^-1",)))
-    return out
+#: Each rule instance, compiled once; every rule set holds these objects.
+_RULES = {key: Rule(*key) for key in _RULE_KEYS}
+
+#: The rule sets by name.
+PRESENTATIONS = {name: Presentation(name, (_RULES[key] for key in keys))
+                 for name, keys in _RULE_SETS.items()}
+_EVERY_RULE = Presentation("every-rule", _RULES.values())
 
 
 def torus_presentation(with_h: bool = False) -> Presentation:
     """The mapping-class-group rules of the three-holed torus, plus the
     reflection conjugation; optionally extended by the commuting
     complement homeomorphism h."""
-    # one positional cache key, so every spelling of the call shares it
-    return _torus_presentation(with_h)
+    return PRESENTATIONS["torus+h" if with_h else "torus"]
 
 
-@lru_cache(maxsize=None)
-def _torus_presentation(with_h: bool) -> Presentation:
-    rules: list[Rule] = []
-    for pair in sorted(_DISJOINT_PAIRS, key=sorted):
-        rules.append(Rule("COMMUTE", tuple(sorted(pair))))
-    for ai in ("a1", "a2", "a3"):
-        rules.append(Rule("BRAID", ("b", ai)))
-    rules.append(Rule("STAR"))
-    for ci in BOUNDARY:
-        for g in _TORUS_GENS:
-            if g != ci:
-                rules.append(Rule("CENTRAL", (ci, g)))
-    for g in _TORUS_GENS:
-        rules.append(Rule("CONJ_REFLECT", (g,)))
-    names = list(_TORUS_GENS) + ["r"]
-    if with_h:
-        for g in _TORUS_GENS:
-            rules.append(Rule("COMMUTE_H", (g,)))
-        names.append("h")
-    rules.extend(_free_red_rules(names))
-    return Presentation("torus+h" if with_h else "torus", rules)
-
-
-@lru_cache(maxsize=None)
 def even_power_presentation() -> Presentation:
     """Rules for the even-power certificates: the designated curve c and
     its neighbourhood-reversing homeomorphism s."""
-    rules = [Rule("REVERSE_S", ("c",))]
-    rules.extend(_free_red_rules(["c", "s"]))
-    return Presentation("even-power", rules)
+    return PRESENTATIONS["even-power"]
 
 
-#: The rule sets by name.
-PRESENTATIONS = {
-    "torus": torus_presentation,
-    "torus+h": lambda: torus_presentation(with_h=True),
-    "even-power": even_power_presentation,
-}
-
-
-@lru_cache(maxsize=None)
 def every_rule() -> Presentation:
-    """The rules of every presentation, sharing their compiled objects:
-    for parsing a script whose allowed rules are checked later, against
-    the claim it proves."""
-    return Presentation("every-rule", (rule for make in PRESENTATIONS.values()
-                                       for rule in make().rules()))
+    """Every rule of the table: for parsing a script whose allowed rules
+    are checked later, against the claim it proves."""
+    return _EVERY_RULE
 
 
 # --- script text format ----------------------------------------------------

@@ -19,9 +19,10 @@ Word text grammar (bit-exact):
     token   = name | name "^-1" | "(" word ")^" int
     name    = [a-z][a-z0-9]*
 
-Parenthesised powers are expanded with :func:`power` at parse time, and
-a word whose groups would expand past ``MAX_EXPANDED_LETTERS`` letters is
-rejected before anything is expanded.
+Parenthesised powers are expanded with :func:`power` at parse time.  A
+word is rejected before the expansion that would make it longer than
+``MAX_EXPANDED_LETTERS`` letters, or make its group expansions, at every
+depth and counted before reduction, total more than that.
 """
 
 from __future__ import annotations
@@ -100,10 +101,13 @@ class Word:
 def word(text: str) -> Word:
     """Parse the word grammar.  Unknown generator names are rejected."""
     tokens = text.split()
-    return Word(tuple(_parse_tokens(tokens, 0, len(tokens))))
+    return Word(tuple(_parse_tokens(tokens, 0, len(tokens), [MAX_EXPANDED_LETTERS])))
 
 
-def _parse_tokens(tokens: list[str], lo: int, hi: int) -> list[Letter]:
+def _parse_tokens(tokens: list[str], lo: int, hi: int, budget: list[int]) -> list[Letter]:
+    """Parse ``tokens[lo:hi]``.  ``budget[0]`` is how many more letters the
+    group expansions of the whole word, at every depth, may produce: a
+    group whose expansion cancels or vanishes still costs its letters."""
     out: list[Letter] = []
     i = lo
     while i < hi:
@@ -123,12 +127,17 @@ def _parse_tokens(tokens: list[str], lo: int, hi: int) -> list[Letter]:
             m = re.fullmatch(r"\)\^(-?\d+)", close)
             if not m:
                 raise WordSyntaxError(f"expected ')^<int>' after group, found {close!r}")
-            inner = Word(tuple(_parse_tokens(tokens, i + 1, j)))
+            inner = Word(tuple(_parse_tokens(tokens, i + 1, j, budget)))
             k = int(m.group(1))
             # an empty group counts as one letter, so |k| is bounded too
-            if len(out) + abs(k) * max(len(inner), 1) > MAX_EXPANDED_LETTERS:
+            expansion = abs(k) * max(len(inner), 1)
+            if len(out) + expansion > MAX_EXPANDED_LETTERS:
                 raise WordSyntaxError(f"group power ^{k} would expand the word past "
                                       f"{MAX_EXPANDED_LETTERS} letters")
+            if expansion > budget[0]:
+                raise WordSyntaxError(f"group power ^{k} would take the word's group "
+                                      f"expansions past {MAX_EXPANDED_LETTERS} letters")
+            budget[0] -= expansion
             out.extend(power(inner, k).letters)
             i = j + 1
         elif tok.startswith(")"):

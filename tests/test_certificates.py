@@ -376,7 +376,7 @@ def test_every_rule_holds_in_the_model_of_its_row():
     for claim in CLAIMS.values():
         model = ASSIGNMENTS[claim.assignment]()
         failures, count = [], 0
-        for rule in PRESENTATIONS[claim.rules]().rules():
+        for rule in PRESENTATIONS[claim.rules].rules():
             for seg, repl in rule.rewrites(Direction.LR).items():
                 count += 1
                 if evaluate_rep(Word(seg), model) != evaluate_rep(Word(repl), model):

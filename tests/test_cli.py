@@ -42,6 +42,13 @@ def test_det_rejects_inconsistent_genus(capsys):
     assert code == 2 and "error" in err
 
 
+def test_det_rejects_an_r_det_that_contradicts_k(capsys):
+    # the k = 0 embedding's reflection has determinant +1
+    code, out, err = invoke(capsys, "det", "--word", "r", "--genus", "6",
+                            "--k", "0", "--r-det", "-1")
+    assert code == 2 and out == "" and "contradicts" in err
+
+
 def test_det_without_embedding_data_is_a_usage_error(capsys):
     code, _, err = invoke(capsys, "det", "--word", "r", "--genus", "7")
     assert code == 2 and "error" in err

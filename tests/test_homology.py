@@ -423,3 +423,5 @@ def test_det_hom_errors():
         det_hom(word("r"), SurfaceSpec(False, 7))  # no embedding determinant
     with pytest.raises(UndefinedDet):
         det_hom(word("s"), SurfaceSpec(False, 7))  # decided by construction
+    with pytest.raises(ValueError, match=r"r_det -1 contradicts .* \+1 of the k=0"):
+        det_hom(word("r"), SurfaceSpec(False, 6), k=0, r_det=-1)

@@ -1,6 +1,7 @@
 """Word layer: reduction, inversion, powers, commutators, parsing."""
 
 import random
+import time
 
 import pytest
 
@@ -161,9 +162,23 @@ def test_group_powers_are_bounded_before_they_are_expanded():
                  f"a2 ( b a1 )^-{half}",
                  "( b )^1000000000",          # would allocate gigabytes
                  "( )^1000000000",            # an empty group is bounded too
-                 "( ( b a1 )^1024 )^1024"]:   # nested groups multiply
+                 "( ( b a1 )^1024 )^1024",    # nested groups multiply
+                 "( ( b a1 )^512 )^1024"]:    # 2^20 letters, after the inner group's 1,024
         with pytest.raises(WordSyntaxError, match="past"):
             word(text)
+
+
+@pytest.mark.parametrize("text", [
+    " ".join(["( ( b )^1048576 )^0"] * 1000),              # each copy vanishes
+    " ".join(["( ( b )^524288 ( b^-1 )^524288 )^1"] * 2),  # each copy cancels
+], ids=["vanishing", "cancelling"])
+def test_group_expansions_share_one_budget(text):
+    # the word stays short, so only the letters the groups produce bound
+    # the work of parsing it
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError, match="past"):
+        word(text)
+    assert time.perf_counter() - start < 5
 
 
 # --- what each generator is, pinned across every layer that asks: parsing,
