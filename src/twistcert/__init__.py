@@ -58,7 +58,6 @@ from .homology import (
     genus3_with_h_assignment,
     reflection_matrix_fig2,
     transvection,
-    twist_det_is_one_fig2,
 )
 from .surfaces import (
     CurveClass,
@@ -78,10 +77,7 @@ from .certificates import (
     MembershipRecord,
     Rel1,
     build_certificate,
-    build_even_power_certificate,
     build_rel1,
-    build_theorem1_certificate,
-    build_theorem2_certificate,
     verify_certificate,
 )
 

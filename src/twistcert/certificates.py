@@ -10,16 +10,21 @@ P = b a2 a3 b a1 a2 c2^-1:
   the ``genus3`` homology model (the extended group, and the twist
   subgroup when the reflection acts with determinant +1);
 * ``rh`` -- c1^n = [P^n, a1^-1 r h], over ``torus+h`` in ``genus3-h``
-  (the twist subgroup when that determinant is -1 or unrecorded; h is
+  (the twist subgroup when that determinant is -1 or not computed; h is
   the commuting complement homeomorphism);
 * ``s``  -- c^(2n) = [c^n, s] with s c s^-1 = c^-1, over ``even-power``
   in ``curve-reverser``, for even powers of any twist.
 
+``CERTIFICATE_FLAVORS`` states each certificate flavour once: its
+``certify --flavor`` name, the ``select_case`` family of its case, and
+whether its claim must lie in the twist subgroup, which adds a record of
+the determinants that decide membership (``_membership``).  Case
+selection takes only the flavour, the surface and the curve.
+
 ``build_certificate`` is the one path that assembles a certificate: it
-selects the case for the flavour, reads the case's row and, for the
-twist-subgroup flavours, records the determinants that decide
-membership (``_membership``).  ``verify_certificate`` selects the case
-afresh and checks the certificate against the same row.
+selects the case of the flavour and builds the claim of the case's row.
+``verify_certificate`` selects the case afresh, from the same three
+inputs, and checks the certificate against the same row.
 
 The homology check is the claim's shadow at n: M(x_base)^n M(y)
 M(x_base)^-n M(y)^-1 against M(target_base)^(multiplier n) in the row's
@@ -276,7 +281,7 @@ class MembershipRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    flavor: str  # extended-group | twist-subgroup | even-power-extended | even-power-twist
+    flavor: str  # a key of CERTIFICATE_FLAVORS
     n: int
     surface: SurfaceSpec
     curve: CurveClass
@@ -338,18 +343,32 @@ def _claim_shadows(y_choice: str, n: int) -> tuple[IntMatrix, IntMatrix]:
     return x_n * y * x_inv_n * y_inv, (t if k >= 0 else t_inv) ** abs(k)
 
 
-# the select_case flavour of each certificate flavour
-_CASE_FLAVOR = {"extended-group": "extended-group", "twist-subgroup": "twist-subgroup",
-                "even-power-extended": "even-power", "even-power-twist": "even-power"}
+class Flavor(NamedTuple):
+    """How a certificate flavour is asked for and what it adds to the
+    claim of its case: the ``certify --flavor`` name, the ``select_case``
+    family, and whether x and y must lie in the twist subgroup."""
+
+    option: str
+    family: str
+    twist: bool
 
 
-def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass,
-                 r_det_override: int | None) -> TheoremCase:
+CERTIFICATE_FLAVORS = {
+    "extended-group": Flavor("extended", "extended-group", False),
+    "twist-subgroup": Flavor("twist", "twist-subgroup", True),
+    "even-power-extended": Flavor("even", "even-power", False),
+    "even-power-twist": Flavor("even-twist", "even-power", True),
+}
+
+
+def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass) -> TheoremCase:
     """The case of a certificate flavour; raise OutOfScope if it has none."""
-    if flavor not in _CASE_FLAVOR:
+    row = CERTIFICATE_FLAVORS.get(flavor)
+    if row is None:
         raise ValueError(f"unknown certificate flavor {flavor!r}")
-    case = select_case(surface, curve, _CASE_FLAVOR[flavor], r_det_override)
-    if flavor == "even-power-twist" and not case.twist_admissible:
+    case = select_case(surface, curve, row.family)
+    # only even-power cases record whether the twist subgroup holds an s
+    if row.twist and case.twist_admissible is False:
         raise OutOfScope("the complement has no nonorientable piece of genus >= 2, "
                          "so no curve-reversing map exists in the twist subgroup")
     return case
@@ -357,15 +376,16 @@ def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass,
 
 def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
                 surface: SurfaceSpec) -> MembershipRecord | None:
-    """The determinant record of a twist-subgroup flavour; None for the
-    flavours that carry none."""
-    if flavor == "even-power-twist":
+    """The determinant record of a flavour whose claim must lie in the
+    twist subgroup; None for the other flavours."""
+    row = CERTIFICATE_FLAVORS.get(flavor)
+    if row is None or not row.twist:
+        return None
+    if case.y_choice == "s":
         return MembershipRecord(
             1, 1,
             "x is a twist power; s is chosen in the twist subgroup by composing "
             "with a crosscap slide in the nonorientable complement piece")
-    if flavor != "twist-subgroup":
-        return None
     det_x = det_hom(x, surface)  # twists only
     if case.forced_rh:
         return MembershipRecord(
@@ -427,11 +447,11 @@ def _reflection_phase(builder: ScriptBuilder, n: int, with_h: bool) -> None:
 
 
 def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
-                      flavor: str, r_det_override: int | None = None) -> Certificate:
+                      flavor: str) -> Certificate:
     """Certificate of ``flavor`` for t^n (t^(2n) for the even-power
     flavours) about ``curve``: select the case, then build the claim of
     its row with the row's rules and homology model."""
-    case = _select_case(flavor, surface, curve, r_det_override)
+    case = _select_case(flavor, surface, curve)
     claim = CLAIMS[case.y_choice]
     x = power(claim.x_base, n)
     target = power(claim.target_base, claim.multiplier * n)
@@ -441,29 +461,6 @@ def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
     return Certificate(flavor, n, surface, case.curve, case, target, x, claim.y, script,
                        claim.assignment, homology_ok,
                        _membership(flavor, case, x, claim.y, surface))
-
-
-def build_theorem1_certificate(surface: SurfaceSpec, curve: CurveClass, n: int) -> Certificate:
-    """Extended-group certificate: t^n about the boundary curve is the
-    single commutator [P^n, a1^-1 r]."""
-    return build_certificate(surface, curve, n, "extended-group")
-
-
-def build_theorem2_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
-                               r_det_override: int | None = None) -> Certificate:
-    """Twist-subgroup certificate; Y carries h whenever the reflection is
-    not known to act with determinant +1."""
-    return build_certificate(surface, curve, n, "twist-subgroup", r_det_override)
-
-
-def build_even_power_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
-                                 flavor: str = "extended") -> Certificate:
-    """Even-power certificate t^(2n) = [t^n, s] for any two-sided curve;
-    the twist flavour needs a nonorientable complement piece of genus >= 2
-    so that s can be chosen inside the twist subgroup."""
-    if flavor not in ("extended", "twist"):
-        raise ValueError(f"unknown even-power flavor {flavor!r}")
-    return build_certificate(surface, curve, n, f"even-power-{flavor}")
 
 
 @dataclass(frozen=True)
@@ -556,9 +553,7 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
 def _case_problems(cert: Certificate) -> list[str]:
     """Re-run case selection and compare with the recorded case."""
     try:
-        # the recorded determinant is an override only where no
-        # determinant is computed; select_case ignores it elsewhere
-        expected = _select_case(cert.flavor, cert.surface, cert.curve, cert.case.r_det)
+        expected = _select_case(cert.flavor, cert.surface, cert.curve)
     except Exception as exc:
         return [f"case selection rejects this certificate: {exc}"]
     if expected != cert.case:

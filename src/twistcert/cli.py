@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .certificates import (
+    CERTIFICATE_FLAVORS,
     Certificate,
     MembershipRecord,
     build_certificate,
@@ -50,13 +51,6 @@ script format:  line 1        start: <word>
                 '#' begins a comment; step labels count from 1.
 """
 
-_CERT_FLAVORS = {
-    "extended": "extended-group",
-    "twist": "twist-subgroup",
-    "even": "even-power-extended",
-    "even-twist": "even-power-twist",
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,13 +86,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build a commutator certificate")
     p.add_argument("--surface", required=True)
     p.add_argument("--curve", required=True)
-    p.add_argument("--flavor", required=True, choices=sorted(_CERT_FLAVORS))
+    p.add_argument("--flavor", required=True,
+                   choices=sorted(row.option for row in CERTIFICATE_FLAVORS.values()))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--n-range",
                        help="inclusive range a..b; write --n-range=-3..3 for negative bounds")
-    p.add_argument("--r-det", type=int, choices=[1, -1], default=None,
-                   help="recorded reflection determinant for the embedding")
     p.add_argument("--max-n", type=int, default=32, help="largest |n| a script is generated for")
     p.add_argument("--emit-script", type=Path, default=None,
                    help="also write the proof script to this path")
@@ -196,9 +189,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
     surface = SurfaceSpec.parse(args.surface)
     curve = CurveClass.parse(args.curve)
-    flavor = _CERT_FLAVORS[args.flavor]
+    flavor = next(name for name, row in CERTIFICATE_FLAVORS.items()
+                  if row.option == args.flavor)
     if args.n_range is not None:
         lo_text, _, hi_text = args.n_range.partition("..")
         try:
@@ -215,7 +211,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise Unrealizable(f"|n| = {abs(n)} exceeds the script limit {args.max_n}; "
                            "raise --max-n to force generation")
     for n in range(lo, hi + 1):
-        cert = build_certificate(surface, curve, n, flavor, args.r_det)
+        cert = build_certificate(surface, curve, n, flavor)
         if n != lo:
             print()
         print(format_certificate(cert), end="")

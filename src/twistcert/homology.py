@@ -352,55 +352,6 @@ def fig2_reflection_det(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def fig2_class_vector(k: int, curve_label: str) -> tuple[int, ...]:
-    """Homology class of a labelled fig2 curve; c1 is null-homologous."""
-    labels = fig2_basis_labels(k)
-    if curve_label == "c1":
-        return (0,) * len(labels)
-    if curve_label not in labels:
-        raise ValueError(f"unknown fig2 curve label {curve_label!r} for k={k}")
-    i = labels.index(curve_label)
-    return tuple(1 if j == i else 0 for j in range(len(labels)))
-
-
-def twist_det_is_one_fig2(k: int, curve_label: str, sign: int = 1,
-                          functionals: Iterable[Sequence[int]] | None = None) -> bool:
-    """Any transvection-like map x -> x + sign.phi(x).v in the fig2 basis
-    has determinant exactly 1, for every functional phi vanishing on the
-    class v and either twist sign.  Checked against a spread of
-    functionals; the determinant is computed exactly."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    v = fig2_class_vector(k, curve_label)
-    d = len(v)
-    if functionals is None:
-        functionals = _default_functionals(v)
-    for phi in functionals:
-        if len(phi) != d:
-            raise ValueError("functional has wrong length")
-        if sum(p * x for p, x in zip(phi, v)) != 0:
-            raise ValueError("functional must vanish on the curve class")
-        mat = IntMatrix.from_rows(
-            [[(1 if i == j else 0) + sign * phi[j] * v[i] for j in range(d)]
-             for i in range(d)])
-        if mat.det() != 1:
-            return False
-    return True
-
-
-def _default_functionals(v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    d = len(v)
-    out: list[tuple[int, ...]] = []
-    for i in range(d):
-        if v[i] == 0:
-            out.append(tuple(1 if j == i else 0 for j in range(d)))
-    # a denser functional exercising many entries at once
-    dense = [(i + 1) if v[i] == 0 else 0 for i in range(d)]
-    if any(dense):
-        out.append(tuple(dense))
-    return out
-
-
 _DET_BY_KIND = {"twist": 1, "crosscap-slide": -1}
 _NO_DET_BY_KIND = {  # the UndefinedDet reason of each kind without a value
     None: "unknown generator",

@@ -6,18 +6,23 @@ recorded up to homeomorphism of the pair (surface, curve): a separating
 class stores the topological types of its two sides, a nonseparating
 class whether its complement is orientable.
 
-Case selection gates the certificate builders:
+Case selection gates the certificate builders.  It takes a case family
+(``FLAVORS``), a surface and a curve, and nothing else:
 
 * ``extended-group``  -- orientable genus >= 3 or nonorientable genus >= 7,
   every two-sided class;
 * ``twist-subgroup``  -- nonorientable only: separating with genus >= 7,
   nonorientable complement with genus >= 8, or orientable complement with
-  genus >= 6 and genus = 2 mod 4.  The two excluded families (nonseparating
-  nonorientable complement at genus 7; orientable complement at genus
-  0 mod 4) are reported as out of scope and flagged conjectural;
-* ``even-power``      -- every surface and two-sided class; the twist
-  variant additionally needs a nonorientable complement piece of genus
-  >= 2 to supply the curve-reversing map inside the twist subgroup.
+  genus >= 6 and genus = 2 mod 4.  Only the orientable-complement case
+  computes the reflection's determinant, from the fig2 embedding; the
+  separating and nonorientable-complement cases always take y = a1^-1 r h
+  and mark the choice as forced.  The two excluded families
+  (nonseparating nonorientable complement at genus 7; orientable
+  complement at genus 0 mod 4) are reported as out of scope and flagged
+  conjectural;
+* ``even-power``      -- every surface and two-sided class; the case
+  records whether a nonorientable complement piece of genus >= 2
+  supplies the curve-reversing map inside the twist subgroup.
 """
 
 from __future__ import annotations
@@ -196,20 +201,17 @@ class TheoremCase:
     surface: SurfaceSpec
     curve: CurveClass
     k: int | None = None            # fig2 embedding parameter, when defined
-    r_det: int | None = None        # det of the reflection's action, when known
-    forced_rh: bool = False         # reflection determinant unrecorded; rh used
+    r_det: int | None = None        # det of the reflection's action, when computed
+    forced_rh: bool = False         # reflection determinant not computed; rh used
     twist_admissible: bool | None = None  # even-power cases only
 
 
 FLAVORS = ("extended-group", "twist-subgroup", "even-power")
 
 
-def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str,
-                r_det_override: int | None = None) -> TheoremCase:
-    """Pick the applicable case for a classified curve, checking the exact
-    genus hypotheses eagerly.  ``r_det_override`` records a known
-    determinant for the reflection in embeddings where none is computed
-    here (separating or nonorientable-complement)."""
+def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str) -> TheoremCase:
+    """Pick the applicable case of the ``flavor`` family for a classified
+    curve, checking the exact genus hypotheses eagerly."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     curve = classify(surface, curve)
@@ -236,7 +238,8 @@ def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str,
                        for host, other in (curve.sides, curve.sides[::-1])):
                 raise OutOfScope("no side arrangement leaves a nonorientable genus >= 2 "
                                  "piece away from the torus")
-            return _twist_case("T2-separating", 7, surface, curve, r_det_override)
+            return TheoremCase("T2-twist", "T2-separating", 7, "rh", surface, curve,
+                               forced_rh=True)
         if curve.complement_orientable:
             k, rem = divmod(surface.genus, 2)
             k -= 3
@@ -260,26 +263,12 @@ def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str,
                 conjectural=True)
         if surface.genus < 8:
             raise OutOfScope("nonorientable-complement certificates need genus >= 8")
-        return _twist_case("T2-nonorientable-complement", 8, surface, curve, r_det_override)
+        return TheoremCase("T2-twist", "T2-nonorientable-complement", 8, "rh", surface, curve,
+                           forced_rh=True)
 
     # even-power
     return TheoremCase("R4-even-power", "R4-even-power", 1, "s", surface, curve,
                        twist_admissible=_even_power_twist_admissible(surface, curve))
-
-
-def _twist_case(case_id: str, bound: int, surface: SurfaceSpec, curve: CurveClass,
-                r_det_override: int | None) -> TheoremCase:
-    # No determinant is computed for these embeddings.  With a recorded
-    # value the entry with determinant +1 is selected; without one the
-    # certificate uses rh, which is sound whenever the reflection is not
-    # already in the twist subgroup, and marks the choice as forced.
-    if r_det_override is not None:
-        if r_det_override not in (1, -1):
-            raise ValueError("r_det_override must be +1 or -1")
-        return TheoremCase("T2-twist", case_id, bound,
-                           "r" if r_det_override == 1 else "rh", surface, curve,
-                           r_det=r_det_override)
-    return TheoremCase("T2-twist", case_id, bound, "rh", surface, curve, forced_rh=True)
 
 
 def _even_power_twist_admissible(surface: SurfaceSpec, curve: CurveClass) -> bool:

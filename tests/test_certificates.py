@@ -16,10 +16,7 @@ from twistcert import (
     SurfaceSpec,
     Word,
     build_certificate,
-    build_even_power_certificate,
     build_rel1,
-    build_theorem1_certificate,
-    build_theorem2_certificate,
     commutator,
     concat,
     conjugate,
@@ -87,7 +84,7 @@ def test_rel1_script_words_are_literal():
 
 
 def test_theorem1_certificate_shape():
-    cert = build_theorem1_certificate(O3, NONSEP, 1)
+    cert = build_certificate(O3, NONSEP, 1, "extended-group")
     assert str(cert.y) == "a1^-1 r"
     assert cert.x == P_WORD
     assert cert.target == word("c1")
@@ -99,64 +96,57 @@ def test_theorem1_certificate_shape():
 
 def test_theorem1_rejects_small_genus():
     with pytest.raises(OutOfScope):
-        build_theorem1_certificate(SurfaceSpec(True, 2), NONSEP, 1)
+        build_certificate(SurfaceSpec(True, 2), NONSEP, 1, "extended-group")
 
 
 def test_theorem1_nonorientable_separating():
-    cert = build_theorem1_certificate(N7, SEP_N2_N5, 5)
+    cert = build_certificate(N7, SEP_N2_N5, 5, "extended-group")
     assert verify_certificate(cert).ok
 
 
 def test_theorem2_y_carries_h_exactly_when_needed():
-    cert = build_theorem2_certificate(N7, SEP_N2_N5, 3)
+    cert = build_certificate(N7, SEP_N2_N5, 3, "twist-subgroup")
     assert str(cert.y) == "a1^-1 r h"
     assert cert.case.forced_rh and cert.membership.conditional
     assert verify_certificate(cert).ok
 
-    cert = build_theorem2_certificate(SurfaceSpec(False, 6), NONSEP_OC, 2)
+    cert = build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 2, "twist-subgroup")
     assert str(cert.y) == "a1^-1 r"
     assert cert.membership.det_x == 1 and cert.membership.det_y == 1
     assert not cert.membership.conditional
     assert verify_certificate(cert).ok
 
 
-def test_theorem2_recorded_determinant_gives_plain_r():
-    cert = build_theorem2_certificate(N7, SEP_N2_N5, 2, r_det_override=1)
-    assert str(cert.y) == "a1^-1 r"
-    assert cert.membership.det_y == 1 and not cert.membership.conditional
-    assert verify_certificate(cert).ok
-
-
 def test_theorem2_out_of_scope():
     with pytest.raises(OutOfScope):
-        build_theorem2_certificate(N7, NONSEP_NC, 1)
+        build_certificate(N7, NONSEP_NC, 1, "twist-subgroup")
     with pytest.raises(OutOfScope):
-        build_theorem2_certificate(SurfaceSpec(False, 8), NONSEP_OC, 1)
+        build_certificate(SurfaceSpec(False, 8), NONSEP_OC, 1, "twist-subgroup")
 
 
 def test_even_power_certificates():
-    cert = build_even_power_certificate(SurfaceSpec(True, 1), NONSEP, 1, "extended")
+    cert = build_certificate(SurfaceSpec(True, 1), NONSEP, 1, "even-power-extended")
     assert str(cert.target) == "c c" and str(cert.x) == "c" and str(cert.y) == "s"
     assert verify_certificate(cert).ok
 
-    cert = build_even_power_certificate(N7, NONSEP_NC, 3, "twist")
+    cert = build_certificate(N7, NONSEP_NC, 3, "even-power-twist")
     assert cert.flavor == "even-power-twist" and cert.membership.ok
     assert verify_certificate(cert).ok
 
-    cert = build_even_power_certificate(N7, NONSEP_NC, 0, "extended")
+    cert = build_certificate(N7, NONSEP_NC, 0, "even-power-extended")
     assert cert.target == Word() and verify_certificate(cert).ok
 
 
 def test_even_power_twist_needs_a_nonorientable_piece():
     with pytest.raises(OutOfScope):
-        build_even_power_certificate(O3, NONSEP, 1, "twist")
+        build_certificate(O3, NONSEP, 1, "even-power-twist")
 
 
 # --- perturbations must be caught ---------------------------------------------
 
 
 def test_certificate_with_r_deleted_from_y_fails():
-    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
     bad_y = word("a1^-1")
     bad = replace(cert, y=bad_y)
     report = verify_certificate(bad)
@@ -165,7 +155,7 @@ def test_certificate_with_r_deleted_from_y_fails():
 
 
 def test_certificate_with_broken_script_fails_at_first_reflection_step():
-    cert = build_theorem1_certificate(O3, NONSEP, 1)
+    cert = build_certificate(O3, NONSEP, 1, "extended-group")
     # delete the r letters from the script start: the replay must break at
     # the first step that consumes them
     letters = tuple(lt for lt in cert.script.start.letters if lt.name != "r")
@@ -176,7 +166,7 @@ def test_certificate_with_broken_script_fails_at_first_reflection_step():
 
 
 def test_twist_certificate_with_odd_reflection_determinant_fails_membership():
-    good = build_theorem2_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1)
+    good = build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1, "twist-subgroup")
     # claim the same y on an embedding whose reflection has determinant -1
     bad_case = replace(good.case, k=1, r_det=-1,
                        surface=SurfaceSpec(False, 8))
@@ -186,7 +176,7 @@ def test_twist_certificate_with_odd_reflection_determinant_fails_membership():
 
 
 def test_verifier_reports_rather_than_raises_on_malformed_certificates():
-    good = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    good = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
     # a twist-subgroup claim on an orientable surface: the determinant
     # homomorphism is undefined there, but verification must stay a report
     bad = replace(good, surface=O3, case=replace(good.case, surface=O3))
@@ -199,25 +189,56 @@ def test_verifier_reports_rather_than_raises_on_malformed_certificates():
 
 
 def test_verifier_checks_the_recorded_case_against_a_fresh_selection():
-    good = build_theorem2_certificate(N7, SEP_N2_N5, 2)
+    good = build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup")
     bad = replace(good, case=replace(good.case, y_choice="r", forced_rh=False, r_det=1))
     report = verify_certificate(bad)
     assert not report.ok
 
 
+def recorded_determinant_certificate(r_det):
+    """The n = 2 twist-subgroup certificate for ``n:8 sep:n2+n6`` that a
+    user-set reflection determinant once produced: y = a1^-1 r for +1 and
+    a1^-1 r h for -1, each recording membership-y +1.  At most one of the
+    two claims is true."""
+    surface, curve = SurfaceSpec(False, 8), CurveClass.parse("sep:n2+n6")
+    default = build_certificate(surface, curve, 2, "twist-subgroup")
+    # the y = a1^-1 r claim, its script and model are those of the extended group
+    claim = default if r_det == -1 else build_certificate(surface, curve, 2, "extended-group")
+    return replace(claim, flavor="twist-subgroup",
+                   case=replace(default.case, y_choice=claim.case.y_choice,
+                                r_det=r_det, forced_rh=False),
+                   membership=MembershipRecord(
+                       1, 1, f"reflection determinant {r_det:+d} recorded for the embedding"))
+
+
+@pytest.mark.parametrize("r_det, y, digest", [
+    (1, "a1^-1 r", "e5afa9715ddea13a3d24e860600ce4ff38d8ab2eb3f9d96699544ad147e2b6f7"),
+    (-1, "a1^-1 r h", "3a9599c3e8c9ee842c2695603eb46062d09022bb3908d922670b2e8f83df92c6"),
+])
+def test_a_recorded_reflection_determinant_is_rejected(r_det, y, digest):
+    cert = recorded_determinant_certificate(r_det)
+    assert str(cert.y) == y and cert.case.r_det == r_det and cert.membership.det_y == 1
+    # byte for byte the certificate that `certify --r-det` printed
+    assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == digest
+    report = verify_certificate(cert)
+    assert not report.ok and report.script_ok and report.homology_ok
+    assert report.message == "recorded case does not match a fresh case selection"
+
+
 def test_forced_rh_membership_requires_the_rh_shape():
-    cert = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    cert = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
     bad = replace(cert, y=word("a1^-1 r"),
                   script=ProofScript(commutator(word("( b a2 a3 b a1 a2 c2^-1 )^1"),
                                                 word("a1^-1 r")),
-                                     build_theorem1_certificate(O3, NONSEP, 1).script.steps,
+                                     build_certificate(O3, NONSEP, 1,
+                                                       "extended-group").script.steps,
                                      cert.target))
     report = verify_certificate(bad)
     assert not report.ok
 
 
 def test_empty_claim_with_an_empty_script_fails():
-    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
     empty = ProofScript(Word(), (), Word())
     bad = replace(cert, target=Word(), x=Word(), y=Word(), script=empty)
     report = verify_certificate(bad)
@@ -225,19 +246,19 @@ def test_empty_claim_with_an_empty_script_fails():
 
 
 def test_certificate_with_an_edited_n_fails():
-    cert = build_theorem1_certificate(O3, NONSEP, 3)
+    cert = build_certificate(O3, NONSEP, 3, "extended-group")
     report = verify_certificate(replace(cert, n=5))
     assert not report.ok and "n = 5" in report.message
 
 
 def test_recorded_homology_failure_fails():
-    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
     report = verify_certificate(replace(cert, homology_ok=False))
     assert not report.ok and "homology-check" in report.message
 
 
 def test_recorded_assignment_must_be_the_model_of_the_claim():
-    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
     report = verify_certificate(replace(cert, assignment_id="genus3-h"))
     assert not report.ok and "'genus3-h' is not the 'genus3' model" in report.message
     report = verify_certificate(replace(cert, assignment_id="no-such-assignment"))
@@ -245,14 +266,14 @@ def test_recorded_assignment_must_be_the_model_of_the_claim():
 
 
 def test_an_unknown_y_choice_is_reported():
-    cert = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    cert = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
     report = verify_certificate(replace(cert, case=replace(cert.case, y_choice="q")))
     assert not report.ok and "unknown y-choice 'q'" in report.message
 
 
 def test_membership_records_are_compared_as_a_whole():
     # a record on a flavour that carries none
-    cert = build_theorem1_certificate(O3, NONSEP, 2)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
     text = format_certificate(cert).replace(
         "membership-x: -\nmembership-y: -\nmembership-note: -",
         "membership-x: -1\nmembership-y: -1\nmembership-note: forged")
@@ -262,7 +283,7 @@ def test_membership_records_are_compared_as_a_whole():
     assert not report.ok and report.membership_ok is None
     assert "carry no membership record" in report.message
     # a record that certifies both entries, but not the one the flavour states
-    cert = build_even_power_certificate(N7, NONSEP_NC, 2, "twist")
+    cert = build_certificate(N7, NONSEP_NC, 2, "even-power-twist")
     report = verify_certificate(replace(cert, membership=replace(cert.membership, note="forged")))
     assert not report.ok and report.membership_ok is False
 
@@ -311,10 +332,10 @@ H_DETOUR = [("FREE_RED", ("h",), "RL", 0), ("COMMUTE_H", ("b",), "LR", 1),
 
 
 @pytest.mark.parametrize("cert, presentation, detour", [
-    (build_theorem1_certificate(O3, NONSEP, 2), torus_presentation(True), H_DETOUR),
-    (build_theorem2_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1),
+    (build_certificate(O3, NONSEP, 2, "extended-group"), torus_presentation(True), H_DETOUR),
+    (build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1, "twist-subgroup"),
      torus_presentation(True), H_DETOUR),
-    (build_even_power_certificate(N7, NONSEP_NC, 2, "twist"), torus_presentation(),
+    (build_certificate(N7, NONSEP_NC, 2, "even-power-twist"), torus_presentation(),
      [("FREE_RED", ("b",), "RL", 0), ("FREE_RED", ("b",), "LR", 0)]),
 ], ids=["extended-group", "twist-subgroup-r", "even-power-twist"])
 def test_rules_outside_the_flavour_presentation_fail(cert, presentation, detour):
@@ -325,9 +346,9 @@ def test_rules_outside_the_flavour_presentation_fail(cert, presentation, detour)
     assert f"step 1 uses {detour[0][0]}({detour[0][1][0]})" in report.message
 
 
-@pytest.mark.parametrize("cert", [build_theorem1_certificate(O3, NONSEP, 2),
-                                  build_theorem2_certificate(SurfaceSpec(False, 6),
-                                                             NONSEP_OC, 1)])
+@pytest.mark.parametrize("cert", [build_certificate(O3, NONSEP, 2, "extended-group"),
+                                  build_certificate(SurfaceSpec(False, 6),
+                                                    NONSEP_OC, 1, "twist-subgroup")])
 def test_h_rules_without_h_fail_after_a_text_round_trip(cert):
     # the text parser resolves every torus flavour against the rules with h
     text = format_certificate(with_detour(cert, torus_presentation(True), H_DETOUR))
@@ -336,7 +357,7 @@ def test_h_rules_without_h_fail_after_a_text_round_trip(cert):
 
 
 def test_h_rules_are_allowed_when_y_carries_h():
-    cert = build_theorem2_certificate(N7, SEP_N2_N5, 1)
+    cert = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
     assert cert.case.y_choice == "rh"
     assert verify_certificate(with_detour(cert, torus_presentation(True), H_DETOUR)).ok
 
@@ -348,7 +369,7 @@ def test_conjugation_closure_in_homology():
     """Conjugating a certificate keeps the homology identity intact."""
     rng = random.Random(4711)
     asg = genus3_assignment()
-    cert = build_theorem1_certificate(O3, NONSEP, 3)
+    cert = build_certificate(O3, NONSEP, 3, "extended-group")
     for _ in range(25):
         w = random_word(rng, rng.randrange(0, 10))
         x = conjugate(cert.x, w)
@@ -399,7 +420,7 @@ def test_squared_claim_shadows_equal_the_images_of_the_written_words(y_choice):
 
 
 def test_a_huge_edited_n_fails_before_any_squaring():
-    cert = build_theorem1_certificate(O3, NONSEP, 3)
+    cert = build_certificate(O3, NONSEP, 3, "extended-group")
     start = time.perf_counter()
     report = verify_certificate(replace(cert, n=10 ** 4000))
     assert time.perf_counter() - start < 1.0
@@ -409,10 +430,10 @@ def test_a_huge_edited_n_fails_before_any_squaring():
 
 def test_twist_certificates_never_carry_odd_determinants():
     certs = [
-        build_theorem2_certificate(N7, SEP_N2_N5, 2),
-        build_theorem2_certificate(SurfaceSpec(False, 8), NONSEP_NC, -3),
-        build_theorem2_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1),
-        build_even_power_certificate(N7, NONSEP_NC, 2, "twist"),
+        build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup"),
+        build_certificate(SurfaceSpec(False, 8), NONSEP_NC, -3, "twist-subgroup"),
+        build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1, "twist-subgroup"),
+        build_certificate(N7, NONSEP_NC, 2, "even-power-twist"),
     ]
     for cert in certs:
         record = cert.membership
@@ -424,9 +445,9 @@ def test_twist_certificates_never_carry_odd_determinants():
 def test_builder_verifier_contract_sample():
     rng = random.Random(2026)
     for n in rng.sample(range(-10, 11), 8):
-        for cert in (build_theorem1_certificate(O3, NONSEP, n),
-                     build_theorem2_certificate(N7, SEP_N2_N5, n),
-                     build_even_power_certificate(N7, NONSEP_NC, n, "twist")):
+        for cert in (build_certificate(O3, NONSEP, n, "extended-group"),
+                     build_certificate(N7, SEP_N2_N5, n, "twist-subgroup"),
+                     build_certificate(N7, NONSEP_NC, n, "even-power-twist")):
             assert verify_certificate(cert).ok, (cert.flavor, n)
 
 

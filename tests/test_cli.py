@@ -1,14 +1,16 @@
 """Command dispatch, exit codes, deterministic output, file round-trips."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from twistcert import fixture_path
 from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
-from twistcert import (build_even_power_certificate, build_theorem1_certificate,
-                       build_theorem2_certificate, CurveClass, Direction, ProofStep,
-                       SurfaceSpec, torus_presentation)
+from twistcert import (build_certificate, CurveClass, Direction, ProofStep, SurfaceSpec,
+                       torus_presentation)
+
+from test_certificates import recorded_determinant_certificate
 
 
 def invoke(capsys, *argv):
@@ -77,6 +79,34 @@ def test_classify_output(capsys):
     assert "out of scope (conjectural)" in out
 
 
+def _sweep_curve_spellings(orientable, genus):
+    """nonsep, nonsep:oc, nonsep:nc and every unordered side split whose
+    genus contributions add up to the surface genus."""
+    out = ["nonsep", "nonsep:oc", "nonsep:nc"]
+    if orientable:
+        out += [f"sep:o{i}+o{genus - i}" for i in range(1, genus // 2 + 1)]
+    else:
+        out += [f"sep:n{i}+n{genus - i}" for i in range(1, genus // 2 + 1)]
+        out += [f"sep:o{i}+n{genus - 2 * i}" for i in range(1, (genus - 1) // 2 + 1)]
+    return out
+
+
+def test_classify_output_is_unchanged(capsys):
+    """SHA-256 of the exit code and stdout of classify for every curve
+    spelling on o:1..8 and n:1..24."""
+    digest, count = hashlib.sha256(), 0
+    for kind, top in (("o", 8), ("n", 24)):
+        for genus in range(1, top + 1):
+            for curve in _sweep_curve_spellings(kind == "o", genus):
+                surface = f"{kind}:{genus}"
+                code, out, _ = invoke(capsys, "classify", "--surface", surface, "--curve", curve)
+                digest.update(f"{surface} {curve} {code}\n{out}".encode())
+                count += 1
+    assert count == 388
+    assert digest.hexdigest() == (
+        "28a7172f1e3040d9e21a59cc790f9223e170f812ee0f465fe1100262a89ee8fc")
+
+
 def test_classify_unrealizable_is_exit_two(capsys):
     code, _, err = invoke(capsys, "classify", "--surface", "o:3", "--curve", "nonsep:nc")
     assert code == 2 and "error" in err
@@ -138,6 +168,29 @@ def test_certify_respects_the_script_limit(capsys):
     assert code == 0
 
 
+def test_a_negative_script_limit_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "certify", "--flavor", "extended", "--surface", "o:3",
+                            "--curve", "nonsep", "--n", "0", "--max-n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-n must be nonnegative, got -1\n"
+
+
+def test_certify_takes_no_reflection_determinant(capsys):
+    code, out, err = invoke(capsys, "certify", "--flavor", "twist", "--surface", "n:8",
+                            "--curve", "sep:n2+n6", "--n", "2", "--r-det", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --r-det 1" in err
+
+
+@pytest.mark.parametrize("r_det", [1, -1])
+def test_a_recorded_reflection_determinant_fails_verification(tmp_path, capsys, r_det):
+    path = tmp_path / "cert.txt"
+    path.write_text(format_certificate(recorded_determinant_certificate(r_det)))
+    code, out, _ = invoke(capsys, "verify-cert", str(path))
+    assert code == 1
+    assert out.endswith("FAIL: recorded case does not match a fresh case selection\n")
+
+
 def test_a_huge_n_range_is_refused_before_it_is_expanded(capsys):
     # the endpoints are checked first: no list of 10^12 exponents is built
     code, out, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
@@ -161,8 +214,8 @@ def test_malformed_word_never_raises(capsys):
 
 
 def test_tampered_certificate_fails_verification(tmp_path, capsys):
-    cert = build_theorem2_certificate(SurfaceSpec(False, 6),
-                                      CurveClass.parse("nonsep:oc"), 2)
+    cert = build_certificate(SurfaceSpec(False, 6),
+                             CurveClass.parse("nonsep:oc"), 2, "twist-subgroup")
     text = format_certificate(cert)
     tampered = text.replace("y: a1^-1 r", "y: a1^-1 r h")
     path = tmp_path / "tampered.txt"
@@ -172,7 +225,7 @@ def test_tampered_certificate_fails_verification(tmp_path, capsys):
 
 
 def test_certificate_using_h_rules_without_h_fails_verification(tmp_path, capsys):
-    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2)
+    cert = build_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2, "extended-group")
     pres = torus_presentation(with_h=True)
     # insert h h^-1, move h^-1 past b and back, cancel it: the script still replays
     detour = (ProofStep(pres.rule("FREE_RED", ("h",)), Direction.RL, 0),
@@ -188,8 +241,8 @@ def test_certificate_using_h_rules_without_h_fails_verification(tmp_path, capsys
 
 def test_even_power_certificate_using_torus_rules_fails_verification(tmp_path, capsys):
     # the same failure as a torus flavour's, not a parse error
-    cert = build_even_power_certificate(SurfaceSpec(False, 7), CurveClass.parse("nonsep:nc"),
-                                        2, "twist")
+    cert = build_certificate(SurfaceSpec(False, 7), CurveClass.parse("nonsep:nc"),
+                             2, "even-power-twist")
     free_b = torus_presentation().rule("FREE_RED", ("b",))
     detour = (ProofStep(free_b, Direction.RL, 0), ProofStep(free_b, Direction.LR, 0))
     bad = replace(cert, script=replace(cert.script, steps=detour + cert.script.steps))
@@ -200,7 +253,7 @@ def test_even_power_certificate_using_torus_rules_fails_verification(tmp_path, c
 
 
 def test_oversized_group_power_in_a_certificate_is_a_usage_error(tmp_path, capsys):
-    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 1)
+    cert = build_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 1, "extended-group")
     text = format_certificate(cert).replace(f"x: {cert.x}", "x: ( b )^1000000000")
     path = tmp_path / "huge.txt"
     path.write_text(text)
@@ -209,7 +262,7 @@ def test_oversized_group_power_in_a_certificate_is_a_usage_error(tmp_path, capsy
 
 
 def test_repeated_certificate_field_is_a_syntax_error(tmp_path, capsys):
-    cert = build_theorem1_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2)
+    cert = build_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 2, "extended-group")
     text = format_certificate(cert).replace("n: 2\n", "n: 2\nn: 3\n", 1)
     with pytest.raises(CertificateSyntaxError, match="repeats the 'n' field"):
         parse_certificate(text)
@@ -221,8 +274,8 @@ def test_repeated_certificate_field_is_a_syntax_error(tmp_path, capsys):
 
 
 def test_certificate_format_round_trip():
-    cert = build_theorem2_certificate(SurfaceSpec(False, 7),
-                                      CurveClass.parse("sep:n2+n5"), -2)
+    cert = build_certificate(SurfaceSpec(False, 7),
+                             CurveClass.parse("sep:n2+n5"), -2, "twist-subgroup")
     parsed = parse_certificate(format_certificate(cert))
     assert parsed == cert
 
@@ -231,8 +284,8 @@ def test_mutated_input_files_never_crash_the_cli(tmp_path, capsys):
     """Deleting, duplicating or corrupting lines must give exit 1 or 2."""
     import random
 
-    cert = build_theorem2_certificate(SurfaceSpec(False, 6),
-                                      CurveClass.parse("nonsep:oc"), 2)
+    cert = build_certificate(SurfaceSpec(False, 6),
+                             CurveClass.parse("nonsep:oc"), 2, "twist-subgroup")
     sources = {
         "cert": format_certificate(cert).splitlines(),
         "script": fixture_path("chain_a.proof").read_text().splitlines(),

@@ -6,10 +6,8 @@ import pytest
 from twistcert import (
     CurveClass,
     SurfaceSpec,
-    build_even_power_certificate,
+    build_certificate,
     build_rel1,
-    build_theorem1_certificate,
-    build_theorem2_certificate,
     equal_modulo_rules,
     evaluate_rep,
     fixture_path,
@@ -29,11 +27,12 @@ def _shipped_scripts():
         yield f"rel1({n})", build_rel1(n).script
     o3 = SurfaceSpec(True, 3)
     n7 = SurfaceSpec(False, 7)
-    yield "theorem1", build_theorem1_certificate(o3, CurveClass(separating=False), 2).script
-    yield "theorem2", build_theorem2_certificate(
-        n7, CurveClass.parse("sep:n2+n5"), -2).script
-    yield "even-power", build_even_power_certificate(
-        n7, CurveClass.parse("nonsep:nc"), 3, "twist").script
+    yield "theorem1", build_certificate(
+        o3, CurveClass(separating=False), 2, "extended-group").script
+    yield "theorem2", build_certificate(
+        n7, CurveClass.parse("sep:n2+n5"), -2, "twist-subgroup").script
+    yield "even-power", build_certificate(
+        n7, CurveClass.parse("nonsep:nc"), 3, "even-power-twist").script
     search = equal_modulo_rules(word("( b a1 a2 a3 )^3"), word("c1 c2 c3"), budget=1000)
     yield "search-witness", search.witness
 

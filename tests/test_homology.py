@@ -31,7 +31,6 @@ from twistcert import (
     power,
     reflection_matrix_fig2,
     transvection,
-    twist_det_is_one_fig2,
     word,
 )
 from twistcert.homology import NonInvertibleAssignment, HomologyAssignment, fig2_reflection_det
@@ -385,26 +384,6 @@ def test_det_hom_at_a_large_genus_builds_no_matrix():
     assert det_hom(word("r b r"), SurfaceSpec(False, 2008), k=1001) == 1
     assert det_hom(word("r"), SurfaceSpec(False, 2008), k=1001) == -1
     assert time.perf_counter() - start < 1.0
-
-
-def test_twist_det_is_one_fig2():
-    assert twist_det_is_one_fig2(0, "b", 1)
-    assert twist_det_is_one_fig2(0, "b", -1)
-    assert twist_det_is_one_fig2(2, "e1", 1)
-    assert twist_det_is_one_fig2(2, "e1", -1)
-    assert twist_det_is_one_fig2(1, "c1")  # null-homologous: identity map
-    rng = random.Random(6174)
-    for k in (0, 1, 3):
-        labels = fig2_basis_labels(k) + ("c1",)
-        for label in labels:
-            dim = 2 * k + 5
-            from twistcert.homology import fig2_class_vector
-            v = fig2_class_vector(k, label)
-            functionals = []
-            for _ in range(10):
-                phi = [rng.randrange(-3, 4) if v[i] == 0 else 0 for i in range(dim)]
-                functionals.append(tuple(phi))
-            assert twist_det_is_one_fig2(k, label, rng.choice((1, -1)), functionals)
 
 
 def test_det_hom_examples():

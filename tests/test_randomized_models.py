@@ -16,8 +16,8 @@ from twistcert import (
     CurveClass,
     SurfaceSpec,
     SymplecticSpace,
+    build_certificate,
     build_rel1,
-    build_theorem1_certificate,
     evaluate_rep,
     fixture_path,
     genus3_assignment,
@@ -71,7 +71,7 @@ def test_generated_scripts_hold_in_conjugated_models(conjugated_assignment, n):
     rel = build_rel1(n)
     assert evaluate_rep(rel.lhs, conjugated_assignment) == \
         evaluate_rep(rel.rhs, conjugated_assignment)
-    cert = build_theorem1_certificate(SurfaceSpec(True, 3),
-                                      CurveClass(separating=False), n)
+    cert = build_certificate(SurfaceSpec(True, 3),
+                             CurveClass(separating=False), n, "extended-group")
     assert evaluate_rep(cert.script.start, conjugated_assignment) == \
         evaluate_rep(cert.script.end, conjugated_assignment)

@@ -139,15 +139,6 @@ def test_orientable_complement_case_selection_at_a_large_genus_builds_no_matrix(
     assert case.k == 1000 and case.r_det == 1 and case.y_choice == "r"
 
 
-def test_twist_subgroup_recorded_determinant_switches_y():
-    case = select_case(SurfaceSpec(False, 7), sep("n2", "n5"), "twist-subgroup",
-                       r_det_override=1)
-    assert case.y_choice == "r" and not case.forced_rh
-    case = select_case(SurfaceSpec(False, 7), sep("n2", "n5"), "twist-subgroup",
-                       r_det_override=-1)
-    assert case.y_choice == "rh" and not case.forced_rh
-
-
 def test_twist_subgroup_conjectural_exclusions():
     with pytest.raises(OutOfScope) as exc:
         select_case(SurfaceSpec(False, 7), NONSEP_NC, "twist-subgroup")
