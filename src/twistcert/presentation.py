@@ -29,6 +29,14 @@ A proof script is a start word, a step list and an end word; replaying
 the steps must reproduce the end word letter for letter -- there is no
 implicit reduction.  Replay rewrites one list of letters in place with
 :func:`rewrite`, so a step costs its segment, not the whole word.
+
+The bounded search :func:`equal_modulo_rules` works on words encoded as
+``str``, one ASCII character per signed letter of ``GENERATORS`` (the
+table :data:`_CODES`), so slicing, joining and hashing a search word
+are string operations.  Each rule set's segment index maps encoded
+segments to encoded replacements; the witness is written in letters,
+from the (rule, direction, position) recorded for each word, and
+replayed by :func:`verify_script` before it is returned.
 """
 
 from __future__ import annotations
@@ -295,8 +303,19 @@ def verify_script(script: ProofScript) -> VerificationReport:
     return VerificationReport(True, None, f"{len(script.steps)} steps replayed", current)
 
 
+#: The search's word encoding: one ASCII character per signed letter of
+#: ``GENERATORS``, in table order ("A" is b, "B" is b^-1, "C" is a1, ...).
+#: The keys are ``(name, sign)`` pairs, which a :class:`Letter` equals.
+_CODES = {pair: chr(ord("A") + i) for i, pair in enumerate(product(GENERATORS, (1, -1)))}
+
+
+def _encode(letters: Iterable[Letter], codes: dict[tuple[str, int], str]) -> str:
+    """``letters`` as a code string, one character of ``codes`` each."""
+    return "".join([codes[lt] for lt in letters])
+
+
 class _SegmentIndex(NamedTuple):
-    segments: dict[tuple[Letter, ...], list[tuple[int, Rule, Direction, tuple[Letter, ...]]]]
+    segments: dict[str, list[tuple[int, Rule, Direction, str]]]  # by code string
     lengths: tuple[int, ...]  # ascending; 0 for the insertions of FREE_RED RL
 
 
@@ -326,15 +345,16 @@ class Presentation:
     def _segment_index(self) -> _SegmentIndex:
         """Every segment a rule rewrites, in either direction, mapped to
         its rewrites: ``(rank, rule, direction, replacement)``, where rank
-        orders (rule, direction) pairs by rule text, LR before RL.  Built
-        once, on first use."""
+        orders (rule, direction) pairs by rule text, LR before RL.
+        Segments and replacements are code strings (see :data:`_CODES`).
+        Built once, on first use."""
         if self._index is None:
-            segments: dict[tuple[Letter, ...], list] = {}
+            segments: dict[str, list] = {}
             for i, rule in enumerate(sorted(self._rules.values(), key=Rule.render)):
                 for rank, direction in enumerate((Direction.LR, Direction.RL), start=2 * i):
                     for segment, repl in rule.rewrites(direction).items():
-                        segments.setdefault(segment, []).append(
-                            (rank, rule, direction, repl))
+                        segments.setdefault(_encode(segment, _CODES), []).append(
+                            (rank, rule, direction, _encode(repl, _CODES)))
             self._index = _SegmentIndex(segments, tuple(sorted({len(s) for s in segments})))
         return self._index
 
@@ -462,30 +482,33 @@ class EqualityResult:
 SEARCH_SLACK = 8
 
 
-def _neighbours(letters: tuple[Letter, ...], index: _SegmentIndex, limit: int):
-    """Every one-step rewrite of ``letters`` to at most ``limit`` letters,
-    as ``(child, rule, direction, position)``.
+def _neighbours(node: str, index: _SegmentIndex, limit: int
+                ) -> list[tuple[str, Rule, Direction, int]]:
+    """Every one-step rewrite of the code string ``node`` to at most
+    ``limit`` letters, as ``(child, rule, direction, position)``.
 
     At each position, one lookup per pattern length finds every rule that
-    fires there.  The rewrites come in (rule text, LR before RL, position)
-    order, the order of trying every rule at every position; each rule and
+    fires there, and the child is built at once as head + replacement +
+    tail.  The rewrites come in (rule text, LR before RL, position) order,
+    the order of trying every rule at every position; each rule and
     direction fires at most once per position, so the order is total."""
     segments, lengths = index
-    n = len(letters)
+    n = len(node)
     hits = []
     for pos in range(n + 1):
+        head = node[:pos]
         for k in lengths:
             if pos + k > n:
                 break
-            found = segments.get(letters[pos:pos + k])
+            found = segments.get(node[pos:pos + k])
             if found is not None:
+                tail = node[pos + k:]
                 room = limit - n + k  # the longest replacement that fits
                 for rank, rule, direction, repl in found:
                     if len(repl) <= room:
-                        hits.append((rank, pos, k, rule, direction, repl))
+                        hits.append((rank, pos, head + repl + tail, rule, direction))
     hits.sort()  # (rank, pos) is unique, so no two hits compare further
-    for _, pos, k, rule, direction, repl in hits:
-        yield letters[:pos] + repl + letters[pos + k:], rule, direction, pos
+    return [(child, rule, direction, pos) for _, pos, child, rule, direction in hits]
 
 
 def equal_modulo_rules(u: Word, v: Word, budget: int,
@@ -493,32 +516,41 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     """Breadth-first bidirectional search for a rewrite path from u to v.
 
     Returns "equal" only with a replayable script as witness; "unknown"
-    never asserts inequality.  ``budget`` caps the number of expanded
-    words; words longer than max(|u|,|v|) + SEARCH_SLACK are pruned.
+    never asserts inequality.  ``budget``, a positive ``int``, caps the
+    number of expanded words; words longer than max(|u|,|v|) +
+    SEARCH_SLACK are pruned.  The search runs over code strings, one
+    character per letter (see :data:`_CODES`; a letter outside that table
+    gets a code for this call only), and records each word's
+    (rule, direction, position) step, from which the witness is built.
     Each expanded word's rewrites are found by segment lookup in the
     presentation's index (see :func:`_neighbours`) and tried in (rule
     text, direction, position) order, so the first path found, and the
     witness, depend only on the words, the budget and the rule set.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {budget!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     pres = presentation if presentation is not None else torus_presentation(with_h=True)
     index = pres._segment_index()
     limit = max(len(u), len(v)) + SEARCH_SLACK
+    codes = dict(_CODES)  # a letter outside the table gets a code for this call only
+    for lt in (*u.letters, *v.letters):
+        codes.setdefault(lt, chr(ord("A") + len(codes)))
+    start, goal = _encode(u.letters, codes), _encode(v.letters, codes)
 
     # parents[side][word] = (previous word, rule, direction, position) of
     # the step that produced it; steps are made only for the witness
-    parents: list[dict[tuple[Letter, ...],
-                       tuple[tuple[Letter, ...], Rule, Direction, int] | None]]
-    parents = [{u.letters: None}, {v.letters: None}]
-    frontiers = [[u.letters], [v.letters]]
+    parents: list[dict[str, tuple[str, Rule, Direction, int] | None]]
+    parents = [{start: None}, {goal: None}]
+    frontiers = [[start], [goal]]
     expanded = 0
-    meet: tuple[Letter, ...] | None = u.letters if u.letters in parents[1] else None
+    meet: str | None = start if start in parents[1] else None
 
     while meet is None and expanded < budget and (frontiers[0] or frontiers[1]):
         side = 0 if (len(frontiers[0]) <= len(frontiers[1]) and frontiers[0]) or not frontiers[1] else 1
         seen, other = parents[side], parents[1 - side]
-        next_frontier: list[tuple[Letter, ...]] = []
+        next_frontier: list[str] = []
         for node in frontiers[side]:
             if meet is not None or expanded >= budget:
                 break

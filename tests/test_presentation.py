@@ -24,6 +24,7 @@ from twistcert import (
 from twistcert import presentation
 from twistcert.certificates import ScriptBuilder, build_rel1
 from twistcert.presentation import SIGMA, Rule, ScriptSyntaxError, UnknownRule
+from twistcert.words import Letter
 
 from test_words import random_word
 
@@ -372,6 +373,13 @@ def test_search_rejects_nonpositive_budget():
         equal_modulo_rules(word("b"), word("b"), budget=0)
 
 
+@pytest.mark.parametrize("budget", [1.5, 2.0, True, "60", None])
+def test_search_rejects_a_budget_that_is_not_an_int(budget):
+    # 1.5 would act as two expansions and True as one
+    with pytest.raises(TypeError, match="budget must be an int"):
+        equal_modulo_rules(word("a1 b a1"), word("b a1 b"), budget=budget)
+
+
 def test_search_identical_words_give_an_empty_witness():
     result = equal_modulo_rules(word("b a1"), word("b a1"), budget=1)
     assert result.status == "equal" and result.witness.steps == ()
@@ -405,14 +413,19 @@ def test_segment_lookup_finds_every_rewrite_in_rule_order(name):
     words = [word(text) for text in _EDGE_WORDS]
     words += [random_word(rng, rng.randrange(0, 13), _NEIGHBOUR_NAMES[name])
               for _ in range(1200)]
+    # the search runs over code strings: encode each word, decode each child
+    letter_of = {code: Letter(*pair) for pair, code in presentation._CODES.items()}
     compared = 0
     for w in words:
         letters = w.letters
+        encoded = presentation._encode(letters, presentation._CODES)
         expected = list(_reference_neighbours(letters, pres.rules()))
         # the word at the length limit, one and two letters below it (the
         # even-power rules change a length by two), and the search's slack
         for limit in (len(letters) + extra for extra in (0, 1, 2, presentation.SEARCH_SLACK)):
-            found = list(presentation._neighbours(letters, pres._segment_index(), limit))
+            found = [(tuple(letter_of[code] for code in child), rule, direction, pos)
+                     for child, rule, direction, pos
+                     in presentation._neighbours(encoded, pres._segment_index(), limit)]
             assert found == [n for n in expected if len(n[0]) <= limit], (w, limit)
             compared += len(found)
     assert compared > 20_000
@@ -493,3 +506,56 @@ def test_search_outcomes_match_the_golden_digest():
             digest.update(format_script(result.witness).encode())
     assert statuses.count("equal") == 36
     assert digest.hexdigest() == GOLDEN_SEARCH_DIGEST
+
+
+# the smallest budget that decides each "equal" pair of _golden_pairs(), in
+# order, taken before the search ran over code strings: one expansion
+# more or less is a different search
+GOLDEN_SEARCH_BUDGETS = [1, 1, 1, 3, 1, 2, 1, 2, 3, 1, 1, 1, 2, 1, 2, 4, 6, 1,
+                         2, 1, 2, 3, 1, 2, 3, 2, 3, 1, 2, 1, 2, 3, 1, 2, 5, 3]
+
+
+def test_search_decides_each_golden_pair_at_its_pinned_budget():
+    equal = [(u, v, pres) for u, v, pres in _golden_pairs()
+             if equal_modulo_rules(u, v, budget=60, presentation=pres).status == "equal"]
+    assert len(equal) == len(GOLDEN_SEARCH_BUDGETS)
+    for (u, v, pres), budget in zip(equal, GOLDEN_SEARCH_BUDGETS):
+        found = equal_modulo_rules(u, v, budget=budget, presentation=pres)
+        assert found == equal_modulo_rules(u, v, budget=60, presentation=pres), (u, v)
+        # u != v, so a budget of 1 is the least that can decide the pair
+        if budget > 1:
+            short = equal_modulo_rules(u, v, budget=budget - 1, presentation=pres)
+            assert short.status == "unknown", (u, v, budget)
+
+
+_ZZ, _YY = Letter("zz", 1), Letter("yy", 1)
+_B = Letter("b", 1)
+
+
+@pytest.mark.parametrize("u, v, pres, expected", [
+    # letters no generator table knows, in words built directly
+    (Word((_ZZ, _B, _B.inverse())), Word((_ZZ,)), None,
+     "start: zz b b^-1\nstep 1: FREE_RED(b) LR @ 1\nend: zz\n"),
+    (Word((_ZZ, _B, _B.inverse(), _YY)), Word((_ZZ, _YY)), None,
+     "start: zz b b^-1 yy\nstep 1: FREE_RED(b) LR @ 1\nend: zz yy\n"),
+    (Word((_ZZ,)), Word((_YY,)), None, None),
+    (Word((_ZZ, _YY)), Word((_YY, _ZZ)), None, None),
+    # generators the rule set has no rule for
+    (word("s a1 b a1"), word("s b a1 b"), TORUS,
+     "start: s a1 b a1\nstep 1: BRAID(b,a1) RL @ 1\nend: s b a1 b\n"),
+    (word("s b b^-1"), word("s"), TORUS, "start: s b b^-1\nstep 1: FREE_RED(b) LR @ 1\nend: s\n"),
+    (word("s"), word("c"), TORUS, None),
+])
+def test_search_over_letters_outside_the_code_table(u, v, pres, expected):
+    # outcomes taken before the search ran over code strings
+    codes = dict(presentation._CODES)
+    index = (TORUS_H if pres is None else pres)._segment_index()
+    segments = dict(index.segments)
+    result = equal_modulo_rules(u, v, budget=10, presentation=pres)
+    assert result.status == ("unknown" if expected is None else "equal")
+    if expected is not None:
+        assert format_script(result.witness) == expected
+        assert verify_script(result.witness).ok
+    # such a letter gets a code for one search only
+    assert presentation._CODES == codes
+    assert index.segments == segments
