@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep
+from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep, fig2_reflection_det
 from .presentation import (
     BOUNDARY,
     PRESENTATIONS,
@@ -393,9 +393,9 @@ def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
             "reflection determinant unrecorded for this embedding; exactly one "
             "of a1^-1 r and a1^-1 r h lies in the twist subgroup, and the "
             "emitted rh form is the member whenever the reflection is not")
-    det_y = det_hom(y, surface, k=case.k, r_det=case.r_det)
-    return MembershipRecord(det_x, det_y,
-                            f"reflection determinant {case.r_det:+d} recorded for the embedding")
+    det_y = det_hom(y, surface, k=case.k)
+    return MembershipRecord(det_x, det_y, f"reflection determinant "
+                            f"{fig2_reflection_det(case.k):+d} recorded for the embedding")
 
 
 def _commutator_script(y_choice: str, claim: Claim, x: Word, target: Word,
@@ -482,10 +482,12 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     row require; replay the script and check that each of its rules is in
     the row's rule set; once target, x and y match n, compute the claim's
     homology shadow at n by repeated squaring in the row's model, which
-    must be the recorded assignment; and recompute the membership record,
-    which must equal the recorded one.  Failure is a report state, even
-    for malformed certificates."""
+    must be the recorded assignment; and, once the recorded case is the
+    fresh selection's, recompute the membership record from it, which must
+    equal the recorded one.  Failure is a report state, even for malformed
+    certificates."""
     problems = _case_problems(cert)
+    case_ok = not problems
     if cert.script.start != commutator(cert.x, cert.y):
         problems.append("script start is not the commutator of x and y")
     if cert.script.end != cert.target:
@@ -526,21 +528,23 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
                 elif not cert.homology_ok:
                     problems.append("homology-check is recorded as fail but recomputes as pass")
 
-    membership_ok: bool | None = None
-    try:
-        expected = _membership(cert.flavor, cert.case, cert.x, cert.y, cert.surface)
-    except Exception as exc:
-        membership_ok = False
-        problems.append(f"membership check failed to run: {exc}")
-    else:
-        if expected is not None:
-            membership_ok = cert.membership == expected and expected.ok
-            if cert.membership != expected:
-                problems.append("membership record does not match its recomputation")
-            elif not expected.ok:
-                problems.append("membership record does not certify both entries")
-        elif cert.membership is not None:
-            problems.append(f"{cert.flavor} certificates carry no membership record")
+    # the record is computed from the case: a refuted case leaves it uncertified
+    membership_ok: bool | None = None if case_ok or cert.membership is None else False
+    if case_ok:
+        try:
+            expected = _membership(cert.flavor, cert.case, cert.x, cert.y, cert.surface)
+        except Exception as exc:
+            membership_ok = False
+            problems.append(f"membership check failed to run: {exc}")
+        else:
+            if expected is not None:
+                membership_ok = cert.membership == expected and expected.ok
+                if cert.membership != expected:
+                    problems.append("membership record does not match its recomputation")
+                elif not expected.ok:
+                    problems.append("membership record does not certify both entries")
+            elif cert.membership is not None:
+                problems.append(f"{cert.flavor} certificates carry no membership record")
 
     ok = not problems
     message = "; ".join(problems) if problems else "claim, script, homology and membership verified"

@@ -1,14 +1,19 @@
-"""Command-line front end.
+"""Command-line front end and the certificate text format.
 
 Exit codes: 0 = verified/ok, 1 = verification failed, 2 = usage or
 realizability error.  Output is plain text with stable field ordering;
 nothing here depends on time, locale or dict-iteration accidents.
+
+A certificate has one text: ``_header`` writes its header lines, and
+``parse_certificate`` accepts a header only if ``_header`` of the
+certificate it parsed gives back the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .certificates import (
@@ -33,6 +38,7 @@ from .surfaces import (
     CurveClass,
     OutOfScope,
     SurfaceSpec,
+    TheoremCase,
     Unrealizable,
     classify,
     scl_upper_bound,
@@ -75,8 +81,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True, help="nonorientable genus")
     p.add_argument("--k", type=int, default=None,
                    help="orientable-complement embedding parameter; genus = 2(k+3)")
-    p.add_argument("--r-det", type=int, choices=[1, -1], default=None,
-                   help="recorded reflection determinant for other embeddings")
 
     p = sub.add_parser("classify", help="normalise a curve class and list applicable cases")
     p.add_argument("--surface", required=True, help="o:<g> or n:<g>")
@@ -162,7 +166,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
     surface = SurfaceSpec(orientable=False, genus=args.genus)
     if args.k is not None and args.genus != 2 * (args.k + 3):
         raise Unrealizable(f"k={args.k} belongs to genus {2 * (args.k + 3)}, not {args.genus}")
-    value = det_hom(word(args.word), surface, k=args.k, r_det=args.r_det)
+    value = det_hom(word(args.word), surface, k=args.k)
     verdict = "in twist subgroup" if value == 1 else "not in twist subgroup"
     print(f"{value:+d} ({verdict})")
     return 0
@@ -234,90 +238,75 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 
 # --- certificate text format -------------------------------------------------
 
+#: The header keys, in the one order a certificate writes them.
+_KEYS = ("twistcert-certificate", "flavor", "surface", "curve", "theorem", "case",
+         "genus-bound", "y-choice", "k", "r-det", "forced-rh", "twist-admissible",
+         "n", "target", "x", "y", "assignment", "homology-check",
+         "membership-x", "membership-y", "membership-note")
 
-def _opt(value) -> str:
-    return "-" if value is None else str(value)
+
+def _opt(value, render=str) -> str:
+    return "-" if value is None else render(value)
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def format_certificate(cert: Certificate) -> str:
-    """Serialise a certificate as a key: value document with the proof
-    script inlined (two-space indented) at the end."""
-    member = cert.membership
-    lines = [
-        "twistcert-certificate: 1",
-        f"flavor: {cert.flavor}",
-        f"surface: {cert.surface}",
-        f"curve: {cert.curve}",
-        f"theorem: {cert.case.theorem}",
-        f"case: {cert.case.case_id}",
-        f"genus-bound: {cert.case.genus_bound_used}",
-        f"y-choice: {cert.case.y_choice}",
-        f"k: {_opt(cert.case.k)}",
-        f"r-det: {_opt(cert.case.r_det if cert.case.r_det is None else f'{cert.case.r_det:+d}')}",
-        f"forced-rh: {_yesno(cert.case.forced_rh)}",
-        "twist-admissible: " + ("-" if cert.case.twist_admissible is None
-                                else _yesno(cert.case.twist_admissible)),
-        f"n: {cert.n}",
-        f"target: {cert.target}",
-        f"x: {cert.x}",
-        f"y: {cert.y}",
-        f"assignment: {cert.assignment_id}",
-        f"homology-check: {'pass' if cert.homology_ok else 'fail'}",
-    ]
+def _header(cert: Certificate) -> list[str]:
+    """The header lines of a certificate: one ``key: value`` line for each
+    key of ``_KEYS``, each value in its one spelling."""
+    case, member = cert.case, cert.membership
     if member is None:
-        lines += ["membership-x: -", "membership-y: -", "membership-note: -"]
+        membership = ("-", "-", "-")
     else:
-        lines += [
-            f"membership-x: {member.det_x:+d}",
-            "membership-y: " + ("conditional" if member.det_y is None else f"{member.det_y:+d}"),
-            f"membership-note: {member.note}",
-        ]
-    # every script line, indented by two spaces
-    script = format_script(cert.script)
-    lines.append("script:\n  " + script[:-1].replace("\n", "\n  "))
-    return "\n".join(lines) + "\n"
+        det_y = "conditional" if member.det_y is None else f"{member.det_y:+d}"
+        membership = (f"{member.det_x:+d}", det_y, member.note)
+    values = (
+        1, cert.flavor, cert.surface, cert.curve, case.theorem, case.case_id,
+        case.genus_bound_used, case.y_choice, _opt(case.k), _opt(case.r_det, "{:+d}".format),
+        _yesno(case.forced_rh), _opt(case.twist_admissible, _yesno),
+        cert.n, cert.target, cert.x, cert.y, cert.assignment_id,
+        "pass" if cert.homology_ok else "fail", *membership,
+    )
+    return [f"{key}: {value}" for key, value in zip(_KEYS, values, strict=True)]
+
+
+def format_certificate(cert: Certificate) -> str:
+    """Serialise a certificate: the ``_header`` lines, a ``script:`` line,
+    and the proof script with each line indented by two spaces."""
+    script = format_script(cert.script)[:-1].replace("\n", "\n  ")
+    return "\n".join(_header(cert)) + "\nscript:\n  " + script + "\n"
 
 
 class CertificateSyntaxError(ValueError):
     pass
 
 
+def _check_lines(found: list[str], expected: list[str]) -> None:
+    """Raise for the first line where ``found`` and ``expected`` differ,
+    naming its number, the expected text and the text found (None past
+    the end of either)."""
+    for number, (got, want) in enumerate(zip_longest(found, expected), start=1):
+        if got != want:
+            raise CertificateSyntaxError(
+                f"certificate line {number}: expected {want!r}, found {got!r}")
+
+
 def parse_certificate(text: str) -> Certificate:
-    from .surfaces import TheoremCase
+    """Read the one text :func:`format_certificate` writes for a certificate.
 
-    fields: dict[str, str] = {}
-    # the script is the text after the "script:" line; parse_script strips
-    # each line, indentation included
-    script_text = ""
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        offset += len(raw)
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "script:":
-            script_text = text[offset:]
-            break
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise CertificateSyntaxError(f"cannot parse certificate line {line!r}")
-        key = key.strip()
-        if key in fields:
-            raise CertificateSyntaxError(f"certificate repeats the {key!r} field")
-        fields[key] = value.strip()
-
-    if fields.get("twistcert-certificate") != "1":
-        raise CertificateSyntaxError("missing or unsupported certificate version")
-
-    class _Fields(dict):
-        def __missing__(self, key):
-            raise CertificateSyntaxError(f"certificate is missing the {key!r} field")
-
-    fields = _Fields(fields)
+    The header keys must be ``_KEYS`` in order, and ``_header`` of the
+    parsed certificate must give back every header line byte for byte;
+    otherwise ``CertificateSyntaxError`` names the first line that differs.
+    The script section is read by :func:`parse_script`, as a script file.
+    """
+    head, sep, script_text = text.partition("\nscript:\n")
+    # the script: line closes the header, so a missing or an extra line shows there
+    lines = (head + sep.rstrip("\n")).split("\n")
+    keys = [key + colon for key, colon, _ in (line.partition(": ") for line in lines)]
+    _check_lines(keys, [*(f"{key}: " for key in _KEYS), "script:"])
+    fields = {key: line[len(key) + 2:] for key, line in zip(_KEYS, lines)}
 
     def opt_int(key: str) -> int | None:
         return None if fields[key] == "-" else int(fields[key])
@@ -344,7 +333,7 @@ def parse_certificate(text: str) -> Certificate:
         det_y = None if fields["membership-y"] == "conditional" else int(fields["membership-y"])
         membership = MembershipRecord(int(fields["membership-x"]), det_y,
                                       fields["membership-note"])
-    return Certificate(
+    cert = Certificate(
         flavor=fields["flavor"],
         n=int(fields["n"]),
         surface=surface,
@@ -358,6 +347,8 @@ def parse_certificate(text: str) -> Certificate:
         homology_ok=fields["homology-check"] == "pass",
         membership=membership,
     )
+    _check_lines(lines, [*_header(cert), "script:"])
+    return cert
 
 
 def main() -> None:

@@ -360,29 +360,23 @@ _NO_DET_BY_KIND = {  # the UndefinedDet reason of each kind without a value
 }
 
 
-def det_hom(w: Word, surface, k: int | None = None, r_det: int | None = None) -> int:
+def det_hom(w: Word, surface, k: int | None = None) -> int:
     """The determinant homomorphism on a closed nonorientable surface.
 
     Twists map to +1, crosscap slides to -1, the reflection to the
-    determinant of its homology action for the chosen embedding: (-1)^k
-    for the fig2 embedding, or an explicitly recorded value ``r_det``, which
-    must agree with (-1)^k when both are given.  The value +1 decides
-    membership in the twist subgroup.
+    determinant (-1)^k of its homology action in the fig2 embedding with
+    parameter ``k``.  The value +1 decides membership in the twist
+    subgroup.
     """
     if surface.orientable:
         raise ValueError("the determinant homomorphism is defined for nonorientable surfaces")
-    if r_det is not None and r_det not in (1, -1):
-        raise ValueError("r_det must be +1 or -1")
-    if r_det is not None and k is not None and r_det != fig2_reflection_det(k):
-        raise ValueError(f"r_det {r_det:+d} contradicts the determinant "
-                         f"{fig2_reflection_det(k):+d} of the k={k} embedding")
     result = 1
     for lt in w:
         kind = GENERATORS.get(lt.name)
         if kind in _DET_BY_KIND:
             value = _DET_BY_KIND[kind]
-        elif kind == "reflection" and (r_det is not None or k is not None):
-            value = r_det if r_det is not None else fig2_reflection_det(k)
+        elif kind == "reflection" and k is not None:
+            value = fig2_reflection_det(k)
         else:
             raise UndefinedDet(lt.name, _NO_DET_BY_KIND[kind])
         result *= value  # sign of the exponent never changes a value in {-1, 1}

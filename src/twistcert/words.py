@@ -51,9 +51,16 @@ GENERATORS = {
 }
 
 
-class Letter(NamedTuple):
-    name: str
-    sign: int  # +1 or -1
+class Letter(NamedTuple("Letter", [("name", str), ("sign", int)])):
+    """A generator name with the sign +1 or -1; a letter equals its
+    ``(name, sign)`` pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, sign: int) -> "Letter":
+        if sign not in (1, -1) or type(sign) is not int:
+            raise ValueError(f"a letter's sign is +1 or -1, not {sign!r}")
+        return tuple.__new__(cls, (name, sign))
 
     def inverse(self) -> "Letter":
         return Letter(self.name, -self.sign)

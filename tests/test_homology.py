@@ -392,7 +392,6 @@ def test_det_hom_examples():
     assert det_hom(word("r h"), SurfaceSpec(False, 8), k=1) == 1   # (-1) * (-1)
     assert det_hom(word("a1^-1 r"), n6, k=0) == 1
     assert det_hom(word("a1^-1 r"), SurfaceSpec(False, 8), k=1) == -1
-    assert det_hom(word("r"), n6, r_det=-1) == -1
 
 
 def test_det_hom_errors():
@@ -402,5 +401,3 @@ def test_det_hom_errors():
         det_hom(word("r"), SurfaceSpec(False, 7))  # no embedding determinant
     with pytest.raises(UndefinedDet):
         det_hom(word("s"), SurfaceSpec(False, 7))  # decided by construction
-    with pytest.raises(ValueError, match=r"r_det -1 contradicts .* \+1 of the k=0"):
-        det_hom(word("r"), SurfaceSpec(False, 6), k=0, r_det=-1)

@@ -228,3 +228,23 @@ def test_the_rules_derived_from_the_generators_are_pinned():
     assert len(texts) == 76
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "2145426e69aaebd908b305c70bf317f89a08728c9dc10883ecc4f9e4bf8a8bd1")
+
+
+@pytest.mark.parametrize("sign", [2, 0, -2, True, 1.0, "1"])
+def test_a_letter_refuses_any_sign_but_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=r"a letter's sign is \+1 or -1"):
+        Letter("b", sign)
+
+
+def test_a_letter_with_sign_two_cannot_reach_the_search():
+    from twistcert import equal_modulo_rules
+
+    # b^2 printed as "b", so this search once returned "equal" with a
+    # witness that reads start: b, step 1: FREE_RED(b) RL @ 1, end: b b b^-1
+    b = word("b").letters[0]
+    with pytest.raises(ValueError, match="not 2"):
+        equal_modulo_rules(Word((Letter("b", 2),)), Word((Letter("b", 2), b, b.inverse())),
+                           budget=10)
+    # a letter stays its (name, sign) pair
+    assert Letter("b", -1) == ("b", -1) == b.inverse()
+    assert hash(Letter("b", -1)) == hash(("b", -1))
