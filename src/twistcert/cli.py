@@ -119,6 +119,9 @@ def run(argv: list[str]) -> int:
         if isinstance(exc, OutOfScope):
             kind = "out of scope (conjectural)" if exc.conjectural else "out of scope"
             print(f"error: {kind}: {exc}", file=sys.stderr)
+        elif isinstance(exc, UnknownRule):  # its str() is the KeyError repr, in quotes
+            where = "" if exc.line is None else f"line {exc.line}: "
+            print(f"error: {where}{exc.args[0]}", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -308,15 +311,24 @@ def parse_certificate(text: str) -> Certificate:
     _check_lines(keys, [*(f"{key}: " for key in _KEYS), "script:"])
     fields = {key: line[len(key) + 2:] for key, line in zip(_KEYS, lines)}
 
-    def opt_int(key: str) -> int | None:
-        return None if fields[key] == "-" else int(fields[key])
+    def field(key: str, decode):
+        """The value of ``key``, decoded; a value that does not decode is
+        named by its line and key."""
+        try:
+            return decode(fields[key])
+        except ValueError as exc:
+            raise CertificateSyntaxError(
+                f"certificate line {_KEYS.index(key) + 1}: {key}: {exc}") from None
 
-    surface = SurfaceSpec.parse(fields["surface"])
-    curve = CurveClass.parse(fields["curve"])
+    def opt_int(key: str) -> int | None:
+        return None if fields[key] == "-" else field(key, int)
+
+    surface = field("surface", SurfaceSpec.parse)
+    curve = field("curve", CurveClass.parse)
     case = TheoremCase(
         theorem=fields["theorem"],
         case_id=fields["case"],
-        genus_bound_used=int(fields["genus-bound"]),
+        genus_bound_used=field("genus-bound", int),
         y_choice=fields["y-choice"],
         surface=surface,
         curve=curve,
@@ -326,22 +338,28 @@ def parse_certificate(text: str) -> Certificate:
         twist_admissible=(None if fields["twist-admissible"] == "-"
                           else fields["twist-admissible"] == "yes"),
     )
-    # which rules the flavour allows is for verify_certificate to decide
-    script = parse_script(script_text, every_rule())
+    # which rules the flavour allows is for verify_certificate to decide;
+    # the script's lines are numbered as lines of the certificate
+    try:
+        script = parse_script(script_text, every_rule(), first_line=len(lines) + 1)
+    except ScriptSyntaxError as exc:
+        raise CertificateSyntaxError(f"certificate {exc}") from None
+    except UnknownRule as exc:
+        raise CertificateSyntaxError(f"certificate line {exc.line}: {exc.args[0]}") from None
     membership = None
     if fields["membership-x"] != "-":
-        det_y = None if fields["membership-y"] == "conditional" else int(fields["membership-y"])
-        membership = MembershipRecord(int(fields["membership-x"]), det_y,
+        det_y = None if fields["membership-y"] == "conditional" else field("membership-y", int)
+        membership = MembershipRecord(field("membership-x", int), det_y,
                                       fields["membership-note"])
     cert = Certificate(
         flavor=fields["flavor"],
-        n=int(fields["n"]),
+        n=field("n", int),
         surface=surface,
         curve=curve,
         case=case,
-        target=word(fields["target"]),
-        x=word(fields["x"]),
-        y=word(fields["y"]),
+        target=field("target", word),
+        x=field("x", word),
+        y=field("y", word),
         script=script,
         assignment_id=fields["assignment"],
         homology_ok=fields["homology-check"] == "pass",

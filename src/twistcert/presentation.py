@@ -33,10 +33,15 @@ implicit reduction.  Replay rewrites one list of letters in place with
 The bounded search :func:`equal_modulo_rules` works on words encoded as
 ``str``, one ASCII character per signed letter of ``GENERATORS`` (the
 table :data:`_CODES`), so slicing, joining and hashing a search word
-are string operations.  Each rule set's segment index maps encoded
-segments to encoded replacements; the witness is written in letters,
-from the (rule, direction, position) recorded for each word, and
-replayed by :func:`verify_script` before it is returned.
+are string operations.  It searches over freely reduced words: words
+in which no FREE_RED LR rule of the rule set matches, the normal form
+of the free group.  Each rule set's segment index maps the encoded
+segments of its other rules to encoded replacements, and its
+cancellation table maps each FREE_RED LR pair to its rule; a child is
+spliced and then reduced at its two splice boundaries.  The FREE_RED
+steps appear only in the witness, which is written in letters from the
+steps recorded for each word and replayed by :func:`verify_script`
+before it is returned.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .words import GENERATORS, Letter, Word, letter, word
+from .words import GENERATORS, Letter, Word, WordSyntaxError, letter, word
 
 #: The reflection's action on curves: fixes b, a1, c1 and swaps a2/a3, c2/c3.
 SIGMA = {
@@ -165,7 +170,10 @@ class PatternMismatch(Exception):
 
 
 class UnknownRule(KeyError):
-    pass
+    """A rule no presentation at hand holds.  ``line`` is the number of the
+    script line that names it, when :func:`parse_script` raised it."""
+
+    line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -316,7 +324,8 @@ def _encode(letters: Iterable[Letter], codes: dict[tuple[str, int], str]) -> str
 
 class _SegmentIndex(NamedTuple):
     segments: dict[str, list[tuple[int, Rule, Direction, str]]]  # by code string
-    lengths: tuple[int, ...]  # ascending; 0 for the insertions of FREE_RED RL
+    lengths: tuple[int, ...]  # ascending
+    cancel: dict[str, Rule]  # each pair a FREE_RED LR step deletes, to its rule
 
 
 class Presentation:
@@ -343,19 +352,30 @@ class Presentation:
         return (rule.family, rule.params) in self._rules
 
     def _segment_index(self) -> _SegmentIndex:
-        """Every segment a rule rewrites, in either direction, mapped to
-        its rewrites: ``(rank, rule, direction, replacement)``, where rank
-        orders (rule, direction) pairs by rule text, LR before RL.
-        Segments and replacements are code strings (see :data:`_CODES`).
-        Built once, on first use."""
+        """Every segment a rule other than FREE_RED rewrites, in either
+        direction, mapped to its rewrites: ``(rank, rule, direction,
+        replacement)``, where rank orders (rule, direction) pairs by rule
+        text, LR before RL; and every pair a FREE_RED LR step deletes,
+        mapped to its rule.  Segments and replacements are code strings
+        (see :data:`_CODES`).  Built once, on first use."""
         if self._index is None:
             segments: dict[str, list] = {}
+            cancel: dict[str, Rule] = {}
             for i, rule in enumerate(sorted(self._rules.values(), key=Rule.render)):
+                if rule.family == "FREE_RED":
+                    cancel.update(dict.fromkeys(
+                        (_encode(pair, _CODES) for pair in rule.rewrites(Direction.LR)), rule))
+                    continue
                 for rank, direction in enumerate((Direction.LR, Direction.RL), start=2 * i):
                     for segment, repl in rule.rewrites(direction).items():
                         segments.setdefault(_encode(segment, _CODES), []).append(
                             (rank, rule, direction, _encode(repl, _CODES)))
-            self._index = _SegmentIndex(segments, tuple(sorted({len(s) for s in segments})))
+            # a child can then cancel only where its replacement meets the word
+            if any(r[j:j + 2] in cancel for found in segments.values()
+                   for _, _, _, r in found for j in range(len(r) - 1)):
+                raise ValueError(f"a replacement of {self.name!r} is not freely reduced")
+            self._index = _SegmentIndex(segments, tuple(sorted({len(s) for s in segments})),
+                                        cancel)
         return self._index
 
 
@@ -417,19 +437,27 @@ def format_script(script: ProofScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_script(text: str, presentation: Presentation) -> ProofScript:
+def _line_word(text: str, lineno: int) -> Word:
+    try:
+        return word(text.strip())
+    except WordSyntaxError as exc:
+        raise ScriptSyntaxError(f"line {lineno}: {exc}") from None
+
+
+def parse_script(text: str, presentation: Presentation, first_line: int = 1) -> ProofScript:
     """Parse the script text format, resolving rules against
     ``presentation``.  Each distinct text after ``step <k>: `` becomes one
     :class:`ProofStep`, shared by every line that repeats it: steps are
     immutable, and the step pattern and rule lookup run once per
-    distinct text, not once per line."""
+    distinct text, not once per line.  Errors number the lines from
+    ``first_line``, the number of the text's first line in its file."""
     start: Word | None = None
     end: Word | None = None
     steps: list[ProofStep] = []
     shared: dict[str, ProofStep] = {}
     # each distinct "RULE(params) DIR" text is resolved once per script
     resolved: dict[tuple[str, str, str], tuple[Rule, Direction]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.split("#", 1)[0].strip()
         label, _, body = line.partition(": ")
         step = shared.get(body)
@@ -442,11 +470,11 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
         elif line.startswith("start:"):
             if start is not None:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate start line")
-            start = word(line[len("start:"):].strip())
+            start = _line_word(line[len("start:"):], lineno)
         elif line.startswith("end:"):
             if end is not None:
                 raise ScriptSyntaxError(f"line {lineno}: duplicate end line")
-            end = word(line[len("end:"):].strip())
+            end = _line_word(line[len("end:"):], lineno)
         else:
             m = _STEP_BODY_RE.fullmatch(body) if step is None else None
             if (step is None and m is None) or (
@@ -461,7 +489,12 @@ def parse_script(text: str, presentation: Presentation) -> ProofScript:
                 if key not in resolved:
                     params = (tuple(p.strip() for p in params_text.split(","))
                               if params_text.strip() else ())
-                    resolved[key] = (presentation.rule(family, params), Direction(direction))
+                    try:
+                        rule = presentation.rule(family, params)
+                    except UnknownRule as exc:
+                        exc.line = lineno
+                        raise
+                    resolved[key] = (rule, Direction(direction))
                 step = shared[body] = ProofStep(*resolved[key], int(pos))
             steps.append(step)
     if start is None or end is None:
@@ -482,20 +515,47 @@ class EqualityResult:
 SEARCH_SLACK = 8
 
 
+def _reduce(head: str, middle: str, tail: str, cancel: dict[str, Rule]
+            ) -> tuple[str, tuple[ProofStep, ...]]:
+    """Freely reduce the code string head + middle + tail, where head and
+    tail are reduced, as ``(word, steps)``: the FREE_RED LR steps, each at
+    its position in the word as it stands when the step applies.
+
+    A stack starts as head and takes middle's letters one at a time,
+    then tail's until one stays: the rest of tail is reduced already."""
+    stack = list(head)
+    steps = []
+    for c in middle:
+        if stack and stack[-1] + c in cancel:
+            steps.append(ProofStep(cancel[stack.pop() + c], Direction.LR, len(stack)))
+        else:
+            stack.append(c)
+    i = 0
+    while i < len(tail) and stack and stack[-1] + tail[i] in cancel:
+        steps.append(ProofStep(cancel[stack.pop() + tail[i]], Direction.LR, len(stack)))
+        i += 1
+    return "".join(stack) + tail[i:], tuple(steps)
+
+
 def _neighbours(node: str, index: _SegmentIndex, limit: int
-                ) -> list[tuple[str, Rule, Direction, int]]:
-    """Every one-step rewrite of the code string ``node`` to at most
-    ``limit`` letters, as ``(child, rule, direction, position)``.
+                ) -> list[tuple[str, Rule, Direction, int, tuple[ProofStep, ...]]]:
+    """Every one-step rewrite of the reduced code string ``node`` by a rule
+    other than FREE_RED, whose spliced word has at most ``limit`` letters,
+    as ``(child, rule, direction, position, reductions)``: ``child`` is
+    the spliced word freely reduced by the FREE_RED LR steps
+    ``reductions``.
 
     At each position, one lookup per pattern length finds every rule that
     fires there, and the child is built at once as head + replacement +
-    tail.  The rewrites come in (rule text, LR before RL, position) order,
-    the order of trying every rule at every position; each rule and
-    direction fires at most once per position, so the order is total."""
-    segments, lengths = index
+    tail.  Replacements are reduced (see :meth:`Presentation._segment_index`),
+    so a child can cancel only at the two splice boundaries.  The
+    rewrites come in (rule text, LR before RL, position) order, the order
+    of trying every rule at every position; each rule and direction fires
+    at most once per position, so the order is total."""
+    segments, lengths, cancel = index
     n = len(node)
     hits = []
-    for pos in range(n + 1):
+    for pos in range(n):
         head = node[:pos]
         for k in lengths:
             if pos + k > n:
@@ -506,9 +566,17 @@ def _neighbours(node: str, index: _SegmentIndex, limit: int
                 room = limit - n + k  # the longest replacement that fits
                 for rank, rule, direction, repl in found:
                     if len(repl) <= room:
-                        hits.append((rank, pos, head + repl + tail, rule, direction))
+                        child = head + repl + tail
+                        end = pos + len(repl)
+                        if ((pos and child[pos - 1:pos + 1] in cancel)
+                                or child[end - 1:end + 1] in cancel):
+                            child, reductions = _reduce(head, repl, tail, cancel)
+                        else:
+                            reductions = ()
+                        hits.append((rank, pos, child, rule, direction, reductions))
     hits.sort()  # (rank, pos) is unique, so no two hits compare further
-    return [(child, rule, direction, pos) for _, pos, child, rule, direction in hits]
+    return [(child, rule, direction, pos, reductions)
+            for _, pos, child, rule, direction, reductions in hits]
 
 
 def equal_modulo_rules(u: Word, v: Word, budget: int,
@@ -516,16 +584,20 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     """Breadth-first bidirectional search for a rewrite path from u to v.
 
     Returns "equal" only with a replayable script as witness; "unknown"
-    never asserts inequality.  ``budget``, a positive ``int``, caps the
-    number of expanded words; words longer than max(|u|,|v|) +
-    SEARCH_SLACK are pruned.  The search runs over code strings, one
-    character per letter (see :data:`_CODES`; a letter outside that table
-    gets a code for this call only), and records each word's
-    (rule, direction, position) step, from which the witness is built.
-    Each expanded word's rewrites are found by segment lookup in the
-    presentation's index (see :func:`_neighbours`) and tried in (rule
-    text, direction, position) order, so the first path found, and the
-    witness, depend only on the words, the budget and the rule set.
+    never asserts inequality.  The search runs over freely reduced words,
+    in which no FREE_RED LR rule of the rule set matches: u and v are
+    reduced first, and each child is reduced as it is made (see
+    :func:`_neighbours`).  ``budget``, a positive ``int``, caps the
+    number of expanded reduced words; a child whose word before reduction
+    is longer than max(|u|,|v|) + SEARCH_SLACK is pruned, so no word the
+    witness passes through is longer.  The search runs over code strings,
+    one character per letter (see :data:`_CODES`; a letter outside that
+    table gets a code for this call only, and never cancels), and records
+    each word's step and reductions.  The witness is u to reduce(u), the
+    u-side steps, the v-side steps inverted, and reduce(v) to v inverted.
+    Rewrites are tried in (rule text, direction, position) order, so the
+    first path found, and the witness, depend only on the words, the
+    budget and the rule set.
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise TypeError(f"budget must be an int, got {budget!r}")
@@ -537,11 +609,13 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     codes = dict(_CODES)  # a letter outside the table gets a code for this call only
     for lt in (*u.letters, *v.letters):
         codes.setdefault(lt, chr(ord("A") + len(codes)))
-    start, goal = _encode(u.letters, codes), _encode(v.letters, codes)
+    start, u_reductions = _reduce("", _encode(u.letters, codes), "", index.cancel)
+    goal, v_reductions = _reduce("", _encode(v.letters, codes), "", index.cancel)
 
-    # parents[side][word] = (previous word, rule, direction, position) of
-    # the step that produced it; steps are made only for the witness
-    parents: list[dict[str, tuple[str, Rule, Direction, int] | None]]
+    # parents[side][word] = (previous word, rule, direction, position,
+    # reductions) of the step that produced it; the rule's ProofStep is
+    # made only for the witness
+    parents: list[dict[str, tuple[str, Rule, Direction, int, tuple[ProofStep, ...]] | None]]
     parents = [{start: None}, {goal: None}]
     frontiers = [[start], [goal]]
     expanded = 0
@@ -555,10 +629,10 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
             if meet is not None or expanded >= budget:
                 break
             expanded += 1
-            for child, rule, direction, pos in _neighbours(node, index, limit):
+            for child, rule, direction, pos, reductions in _neighbours(node, index, limit):
                 if child in seen:
                     continue
-                seen[child] = (node, rule, direction, pos)
+                seen[child] = (node, rule, direction, pos, reductions)
                 next_frontier.append(child)
                 if child in other:
                     meet = child
@@ -568,18 +642,19 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     if meet is None:
         return EqualityResult("unknown", None)
 
-    forward: list[ProofStep] = []  # u ..> meet
+    forward: list[ProofStep] = []  # reduce(u) ..> meet, built back to front
     node = meet
     while parents[0][node] is not None:
-        node, rule, direction, pos = parents[0][node]  # type: ignore[misc]
-        forward.append(ProofStep(rule, direction, pos))
-    forward.reverse()
-    backward: list[ProofStep] = []  # meet ..> v by inverting v-side steps
+        node, rule, direction, pos, reductions = parents[0][node]  # type: ignore[misc]
+        forward[:0] = (ProofStep(rule, direction, pos), *reductions)
+    backward: list[ProofStep] = []  # meet ..> reduce(v) by inverting v-side steps
     node = meet
     while parents[1][node] is not None:
-        node, rule, direction, pos = parents[1][node]  # type: ignore[misc]
+        node, rule, direction, pos, reductions = parents[1][node]  # type: ignore[misc]
+        backward += [s.inverted() for s in reversed(reductions)]
         backward.append(ProofStep(rule, direction.flipped(), pos))
-    script = ProofScript(u, tuple(forward + backward), v)
+    unreduce_v = [s.inverted() for s in reversed(v_reductions)]
+    script = ProofScript(u, (*u_reductions, *forward, *backward, *unreduce_v), v)
     report = verify_script(script)
     if not report.ok:  # pragma: no cover - internal consistency guard
         raise AssertionError(f"search produced a broken witness: {report}")

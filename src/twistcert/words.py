@@ -62,6 +62,11 @@ class Letter(NamedTuple("Letter", [("name", str), ("sign", int)])):
             raise ValueError(f"a letter's sign is +1 or -1, not {sign!r}")
         return tuple.__new__(cls, (name, sign))
 
+    @classmethod
+    def _make(cls, iterable) -> "Letter":
+        # NamedTuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     def inverse(self) -> "Letter":
         return Letter(self.name, -self.sign)
 

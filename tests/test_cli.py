@@ -318,6 +318,51 @@ def test_a_respelled_header_is_refused_at_its_line(tmp_path, capsys, source, edi
     assert code == 2 and out == "" and err == f"error: certificate {message}\n"
 
 
+def _edit_line(text, number, edit):
+    lines = text.split("\n")
+    lines[number - 1] = edit(lines[number - 1])
+    return "\n".join(lines)
+
+
+_ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
+
+
+@pytest.mark.parametrize("source, number, edit, message", [
+    (_ONE_STEP, 26, lambda line: "  step 3 garbage", "line 26: cannot parse 'step 3 garbage'"),
+    (_ONE_STEP, 26, lambda line: line.replace("FREE_RED(r)", "BOGUS()"),
+     "line 26: BOGUS() is not in presentation 'every-rule'"),
+    (_ONE_STEP, 23, lambda line: line.replace("start: b ", "start: zz "),
+     "line 23: unknown generator 'zz'"),
+    (_ONE_STEP, 7, lambda line: "genus-bound: x",
+     "line 7: genus-bound: invalid literal for int() with base 10: 'x'"),
+    (_EXTENDED, 13, lambda line: "n: three",
+     "line 13: n: invalid literal for int() with base 10: 'three'"),
+    (_TWIST_OC, 3, lambda line: "surface: q:10",
+     "line 3: surface: cannot parse surface spec 'q:10'; expected o:<g> or n:<g>"),
+    (_TWIST_OC, 19, lambda line: "membership-x: yes",
+     "line 19: membership-x: invalid literal for int() with base 10: 'yes'"),
+], ids=["garbled-step", "unknown-rule", "unknown-generator", "genus-bound", "n", "surface",
+        "membership-x"])
+def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, source, number,
+                                                             edit, message):
+    bad = _edit_line(_certificate_text(*source), number, edit)
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(bad)
+    assert str(exc.value) == f"certificate {message}"
+    path = tmp_path / "unreadable.txt"
+    path.write_text(bad)
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == "" and err == f"error: certificate {message}\n"
+
+
+def test_an_unknown_rule_in_a_script_file_is_named_by_its_line(tmp_path, capsys):
+    path = tmp_path / "bogus.proof"
+    path.write_text("# one comment line\nstart: b\nstep 1: BOGUS() LR @ 0\nend: b\n")
+    code, out, err = invoke(capsys, "verify-script", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: BOGUS() is not in presentation 'torus+h'\n"
+
+
 def test_edited_certificates_verify_only_with_their_own_header():
     """A seeded fuzz: 3,000 texts, each with 1-3 lines deleted, duplicated
     or with one character replaced.  A text that parses has the header of

@@ -385,10 +385,28 @@ def test_search_identical_words_give_an_empty_witness():
     assert result.status == "equal" and result.witness.steps == ()
 
 
+def _reference_reduce(letters, rules):
+    """Free reduction by replaying FREE_RED LR steps found with the public
+    Rule.match, leftmost match first, as (letters, steps)."""
+    cancellations = [r for r in rules if r.family == "FREE_RED"]
+    steps = []
+    while True:
+        found = next(((rule, pos) for pos in range(len(letters) - 1) for rule in cancellations
+                      if rule.match(letters, pos, Direction.LR) is not None), None)
+        if found is None:
+            return letters, steps
+        rule, pos = found
+        letters = letters[:pos] + letters[pos + 2:]
+        steps.append(ProofStep(rule, Direction.LR, pos))
+
+
 def _reference_neighbours(letters, rules):
-    """The search's rewrites as it first found them: every rule, in rule
-    text order, tried in both directions at every position."""
+    """The search's rewrites of a reduced word: every rule but FREE_RED, in
+    rule text order, tried in both directions at every position, as
+    (spliced word, rule, direction, position)."""
     for rule in sorted(rules, key=Rule.render):
+        if rule.family == "FREE_RED":
+            continue
         for direction in (Direction.LR, Direction.RL):
             span = rule.pattern_len(direction)
             for pos in range(len(letters) - span + 1):
@@ -404,31 +422,40 @@ _EDGE_WORDS = ["", "r", "h b", "b h^-1", "r a2 r", "r r", "s c s^-1", "s^-1 c^-1
                "( b a1 a2 a3 )^3", "( ( b a1 a2 a3 )^3 )^-1", "a1 ( b a1 a2 a3 )^3 r"]
 _NEIGHBOUR_NAMES = {"torus": _TWISTS + ("r", "h"), "torus+h": _TWISTS + ("r", "h"),
                     "even-power": ("c", "s", "b", "r")}
+# even-power has one family besides FREE_RED, so it takes eight times the
+# random words to compare as many rewrites as the torus rule sets
+_NEIGHBOUR_WORDS = {"torus": 1200, "torus+h": 1200, "even-power": 9600}
 
 
 @pytest.mark.parametrize("name", sorted(presentation.PRESENTATIONS))
 def test_segment_lookup_finds_every_rewrite_in_rule_order(name):
     pres = presentation.PRESENTATIONS[name]
+    rules = pres.rules()
     rng = random.Random(7)
     words = [word(text) for text in _EDGE_WORDS]
     words += [random_word(rng, rng.randrange(0, 13), _NEIGHBOUR_NAMES[name])
-              for _ in range(1200)]
-    # the search runs over code strings: encode each word, decode each child
+              for _ in range(_NEIGHBOUR_WORDS[name])]
+    # the search runs over reduced code strings: encode each word, decode each child
     letter_of = {code: Letter(*pair) for pair, code in presentation._CODES.items()}
-    compared = 0
+    compared = cascades = 0
     for w in words:
-        letters = w.letters
+        letters, _ = _reference_reduce(w.letters, rules)
         encoded = presentation._encode(letters, presentation._CODES)
-        expected = list(_reference_neighbours(letters, pres.rules()))
+        expected = [(*_reference_reduce(spliced, rules), rule, direction, pos, len(spliced))
+                    for spliced, rule, direction, pos in _reference_neighbours(letters, rules)]
         # the word at the length limit, one and two letters below it (the
-        # even-power rules change a length by two), and the search's slack
+        # even-power rules change a length by two), and the search's slack;
+        # the limit bounds the spliced word, before its reduction
         for limit in (len(letters) + extra for extra in (0, 1, 2, presentation.SEARCH_SLACK)):
-            found = [(tuple(letter_of[code] for code in child), rule, direction, pos)
-                     for child, rule, direction, pos
+            found = [(tuple(letter_of[code] for code in child), list(reductions),
+                      rule, direction, pos)
+                     for child, rule, direction, pos, reductions
                      in presentation._neighbours(encoded, pres._segment_index(), limit)]
-            assert found == [n for n in expected if len(n[0]) <= limit], (w, limit)
+            assert found == [n[:-1] for n in expected if n[-1] <= limit], (w, limit)
             compared += len(found)
+            cascades += sum(len(n[1]) > 1 for n in found)
     assert compared > 20_000
+    assert cascades > 100  # children that cancel more than one pair
 
 
 @pytest.mark.parametrize("u, v, equal_under", [
@@ -445,6 +472,61 @@ def test_search_uses_the_given_presentation(u, v, equal_under):
             if result.witness is not None:
                 assert verify_script(result.witness).ok
                 assert all(s.rule in pres for s in result.witness.steps)
+
+
+@pytest.mark.parametrize("u, v, expected", [
+    # both reduce to c1: the reductions alone are the witness
+    ("a1 b b^-1 a1^-1 c1", "c1 a2 a2^-1",
+     ["FREE_RED(b) LR @ 1", "FREE_RED(a1) LR @ 0", "FREE_RED(a2) RL @ 1"]),
+    # reduce u, one BRAID step, then unreduce v
+    ("a1 b a1 c2 c2^-1", "a2 a2^-1 b a1 b",
+     ["FREE_RED(c2) LR @ 3", "BRAID(b,a1) RL @ 0", "FREE_RED(a2) RL @ 0"]),
+    # a BRAID step whose child cancels at the splice boundary
+    ("b^-1 a1 b a1", "a1 b", ["BRAID(b,a1) RL @ 1", "FREE_RED(b^-1) LR @ 0"]),
+])
+def test_search_starts_at_u_and_ends_at_v_letter_for_letter(u, v, expected):
+    result = equal_modulo_rules(word(u), word(v), budget=10)
+    assert result.status == "equal"
+    witness = result.witness
+    assert witness.start.letters == word(u).letters and witness.end.letters == word(v).letters
+    assert [s.render() for s in witness.steps] == expected
+    assert verify_script(witness).ok
+
+
+@pytest.mark.parametrize("name", sorted(presentation.PRESENTATIONS))
+def test_search_does_not_cancel_r_inverse_r(name):
+    # no FREE_RED rule deletes r^-1 r, so b r^-1 r b^-1 never reduces to 1
+    pres = presentation.PRESENTATIONS[name]
+    for u in ("r^-1 r", "b r^-1 r b^-1"):
+        assert equal_modulo_rules(word(u), word(""), budget=60, presentation=pres).status == (
+            "unknown")
+    result = equal_modulo_rules(word("r^-1 r r"), word("r^-1"), budget=60, presentation=pres)
+    if name == "even-power":  # which has no FREE_RED(r)
+        assert result.status == "unknown"
+    else:
+        assert [s.render() for s in result.witness.steps] == ["FREE_RED(r) LR @ 1"]
+
+
+def test_witness_words_stay_within_the_search_slack():
+    # walks from unreduced words, so the witnesses hold FREE_RED steps
+    rng = random.Random(9)
+    decided = reductions = grew = 0
+    for i in range(30):
+        u = random_word(rng, 3 + i % 6, _TWISTS + ("r",))
+        v = _rewrite_walk(rng, u, 1 + i % 4)
+        result = equal_modulo_rules(u, v, budget=60)
+        if result.status != "equal":
+            continue
+        decided += 1
+        limit = max(len(u), len(v)) + presentation.SEARCH_SLACK
+        current = u
+        for s in result.witness.steps:
+            current = apply_rule(current, s)
+            assert len(current) <= limit, (u, v)
+            grew += len(current) > max(len(u), len(v))
+            reductions += s.rule.family == "FREE_RED"
+        assert current == v
+    assert decided >= 25 and reductions >= 20 and grew
 
 
 # --- golden search outcomes ------------------------------------------------------
@@ -489,9 +571,13 @@ def _golden_pairs():
     return pairs
 
 
-# taken before the search looked rewrites up by segment: 36 "equal" with
-# witnesses of 1 to 3 steps, 24 "unknown"
-GOLDEN_SEARCH_DIGEST = "015a4305ab9d4ddfba73e4a37e327cc3b41baf5a64d24ff8cd42e4d79407bf76"
+# taken from the search over freely reduced words: 40 "equal" with
+# witnesses of 1 to 8 steps (every walk pair), 20 "unknown"
+GOLDEN_SEARCH_DIGEST = "73b046eae36b58bfb22a78f59a11dd8787f3c36f01f873ee07764553fcab3145"
+# the pairs the search over literal words, FREE_RED insertions included,
+# decided at budget 60; the search over reduced words decides each of them
+LITERAL_SEARCH_EQUAL = [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 19, 20, 21,
+                        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 39]
 
 
 def test_search_outcomes_match_the_golden_digest():
@@ -504,15 +590,16 @@ def test_search_outcomes_match_the_golden_digest():
         if result.witness is not None:
             assert verify_script(result.witness).ok
             digest.update(format_script(result.witness).encode())
-    assert statuses.count("equal") == 36
+    assert statuses.count("equal") == 40
+    assert all(statuses[i] == "equal" for i in LITERAL_SEARCH_EQUAL)
     assert digest.hexdigest() == GOLDEN_SEARCH_DIGEST
 
 
 # the smallest budget that decides each "equal" pair of _golden_pairs(), in
-# order, taken before the search ran over code strings: one expansion
+# order, taken from the search over freely reduced words: one expansion
 # more or less is a different search
-GOLDEN_SEARCH_BUDGETS = [1, 1, 1, 3, 1, 2, 1, 2, 3, 1, 1, 1, 2, 1, 2, 4, 6, 1,
-                         2, 1, 2, 3, 1, 2, 3, 2, 3, 1, 2, 1, 2, 3, 1, 2, 5, 3]
+GOLDEN_SEARCH_BUDGETS = [1, 1, 1, 26, 3, 1, 7, 1, 2, 11, 3, 2, 1, 2, 3, 1, 2, 4, 13, 6,
+                         1, 1, 1, 2, 3, 1, 2, 8, 2, 3, 1, 2, 1, 9, 3, 1, 2, 36, 9, 3]
 
 
 def test_search_decides_each_golden_pair_at_its_pinned_budget():

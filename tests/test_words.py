@@ -248,3 +248,21 @@ def test_a_letter_with_sign_two_cannot_reach_the_search():
     # a letter stays its (name, sign) pair
     assert Letter("b", -1) == ("b", -1) == b.inverse()
     assert hash(Letter("b", -1)) == hash(("b", -1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Letter("b", 1)._replace(sign=2),
+    lambda: Letter("b", 1)._replace(sign=True),
+    lambda: Letter._make(("b", 0)),
+    lambda: Letter._make(["b", -2]),
+], ids=["replace-2", "replace-True", "make-0", "make-list"])
+def test_make_and_replace_check_the_sign(build):
+    with pytest.raises(ValueError, match=r"a letter's sign is \+1 or -1"):
+        build()
+
+
+def test_make_and_replace_build_letters():
+    assert Letter._make(("b", -1)) == Letter("b", -1)
+    assert type(Letter._make(("b", -1))) is Letter
+    assert Letter("a1", 1)._replace(sign=-1) == Letter("a1", -1)
+    assert Letter("a1", 1)._replace(name="a2") == Letter("a2", 1)
