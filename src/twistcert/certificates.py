@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .homology import ASSIGNMENTS, IntMatrix, det_hom, evaluate_rep, fig2_reflection_det
@@ -570,7 +571,8 @@ def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int |
     ``presentation``, or None."""
     steps = script.steps
     # scripts share a few hundred rule objects: test each distinct one once
-    distinct = {id(step.rule): step.rule for step in steps}
+    rules = list(map(attrgetter("rule"), steps))
+    distinct = dict(zip(map(id, rules), rules))
     foreign = {key for key, rule in distinct.items() if rule not in presentation}
     if not foreign:
         return None

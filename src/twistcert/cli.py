@@ -6,7 +6,9 @@ nothing here depends on time, locale or dict-iteration accidents.
 
 A certificate has one text: ``_header`` writes its header lines, and
 ``parse_certificate`` accepts a header only if ``_header`` of the
-certificate it parsed gives back the same bytes.
+certificate it parsed gives back the same bytes; its script section is
+read by ``presentation.parse_script_section``, which accepts only the
+text ``format_script_section`` writes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .presentation import (
     UnknownRule,
     every_rule,
     format_script,
+    format_script_section,
     parse_script,
+    parse_script_section,
     verify_script,
 )
 from .surfaces import (
@@ -44,7 +48,7 @@ from .surfaces import (
     scl_upper_bound,
     select_case,
 )
-from .words import WordSyntaxError, word
+from .words import Word, WordSyntaxError, spelled_word, word
 
 _GRAMMAR_HELP = """\
 word grammar:   whitespace-separated tokens; token = name or name^-1 with
@@ -55,6 +59,9 @@ script format:  line 1        start: <word>
                 per step      step <k>: <RULE>(<params>) <LR|RL> @ <position>
                 last line     end: <word>
                 '#' begins a comment; step labels count from 1.
+                A certificate carries these lines as format_script writes
+                them, each indented by two spaces: no comment, blank line
+                or other spelling.
 """
 
 
@@ -119,9 +126,9 @@ def run(argv: list[str]) -> int:
         if isinstance(exc, OutOfScope):
             kind = "out of scope (conjectural)" if exc.conjectural else "out of scope"
             print(f"error: {kind}: {exc}", file=sys.stderr)
-        elif isinstance(exc, UnknownRule):  # its str() is the KeyError repr, in quotes
+        elif isinstance(exc, UnknownRule):
             where = "" if exc.line is None else f"line {exc.line}: "
-            print(f"error: {where}{exc.args[0]}", file=sys.stderr)
+            print(f"error: {where}{exc}", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -278,8 +285,7 @@ def _header(cert: Certificate) -> list[str]:
 def format_certificate(cert: Certificate) -> str:
     """Serialise a certificate: the ``_header`` lines, a ``script:`` line,
     and the proof script with each line indented by two spaces."""
-    script = format_script(cert.script)[:-1].replace("\n", "\n  ")
-    return "\n".join(_header(cert)) + "\nscript:\n  " + script + "\n"
+    return "\n".join(_header(cert)) + "\nscript:\n" + format_script_section(cert.script)
 
 
 class CertificateSyntaxError(ValueError):
@@ -302,7 +308,13 @@ def parse_certificate(text: str) -> Certificate:
     The header keys must be ``_KEYS`` in order, and ``_header`` of the
     parsed certificate must give back every header line byte for byte;
     otherwise ``CertificateSyntaxError`` names the first line that differs.
-    The script section is read by :func:`parse_script`, as a script file.
+    The script section is read by :func:`parse_script_section`, which
+    accepts only what :func:`format_script_section` writes: two-space
+    indented ``start:``, ``step k:`` and ``end:`` lines with no comment,
+    blank line or other spelling.  A line it cannot read, or the first
+    line that differs from the canonical text, is named by its line in
+    the certificate.  So a text parses only if it is
+    ``format_certificate`` of the certificate it parses to.
     """
     head, sep, script_text = text.partition("\nscript:\n")
     # the script: line closes the header, so a missing or an extra line shows there
@@ -323,6 +335,13 @@ def parse_certificate(text: str) -> Certificate:
     def opt_int(key: str) -> int | None:
         return None if fields[key] == "-" else field(key, int)
 
+    def header_word(text: str) -> Word:
+        """A word as the header spells it; any other text is read by the
+        word grammar, which names what is wrong with it, and a word it
+        reads is then refused by the header check."""
+        found = spelled_word(text)
+        return word(text) if found is None else found
+
     surface = field("surface", SurfaceSpec.parse)
     curve = field("curve", CurveClass.parse)
     case = TheoremCase(
@@ -341,11 +360,11 @@ def parse_certificate(text: str) -> Certificate:
     # which rules the flavour allows is for verify_certificate to decide;
     # the script's lines are numbered as lines of the certificate
     try:
-        script = parse_script(script_text, every_rule(), first_line=len(lines) + 1)
+        script = parse_script_section(script_text, every_rule(), first_line=len(lines) + 1)
     except ScriptSyntaxError as exc:
         raise CertificateSyntaxError(f"certificate {exc}") from None
     except UnknownRule as exc:
-        raise CertificateSyntaxError(f"certificate line {exc.line}: {exc.args[0]}") from None
+        raise CertificateSyntaxError(f"certificate line {exc.line}: {exc}") from None
     membership = None
     if fields["membership-x"] != "-":
         det_y = None if fields["membership-y"] == "conditional" else field("membership-y", int)
@@ -357,9 +376,9 @@ def parse_certificate(text: str) -> Certificate:
         surface=surface,
         curve=curve,
         case=case,
-        target=field("target", word),
-        x=field("x", word),
-        y=field("y", word),
+        target=field("target", header_word),
+        x=field("x", header_word),
+        y=field("y", header_word),
         script=script,
         assignment_id=fields["assignment"],
         homology_ok=fields["homology-check"] == "pass",

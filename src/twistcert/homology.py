@@ -65,7 +65,16 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
+        return cls._square(tuple(tuple(1 if i == j else 0 for j in range(dim))
+                                 for i in range(dim)))
+
+    @classmethod
+    def _square(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix of rows that are square by construction, such as a
+        product's, made without the check of ``__post_init__``."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -75,29 +84,33 @@ class IntMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cols = list(zip(*other.rows))
-        return IntMatrix(tuple(
+        return IntMatrix._square(tuple(
             tuple(sum(map(mul, row, col)) for col in cols)
             for row in self.rows))
 
     def __pow__(self, n: int) -> "IntMatrix":
-        """The n-th power by repeated squaring: O(log |n|) products.  A
-        negative n raises the exact inverse."""
+        """The n-th power by repeated squaring: the lowest set bit of |n|
+        gives the first factor as it is, so |n| = 2^j takes j products and
+        any |n| at most 2 log2 |n|.  A negative n raises the exact inverse."""
         base = self.inverse() if n < 0 else self
-        result = IntMatrix.identity(self.dim)
         k = abs(n)
+        if not k:
+            return IntMatrix.identity(self.dim)
+        while not k & 1:
+            base, k = base * base, k >> 1
+        result, k = base, k >> 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
             k >>= 1
-            if k:
-                base = base * base
         return result
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMatrix._square(tuple(tuple(-x for x in row) for row in self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix._square(tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dim)

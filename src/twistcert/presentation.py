@@ -28,7 +28,14 @@ the script parser and the search share those objects.
 A proof script is a start word, a step list and an end word; replaying
 the steps must reproduce the end word letter for letter -- there is no
 implicit reduction.  Replay rewrites one list of letters in place with
-:func:`rewrite`, so a step costs its segment, not the whole word.
+:func:`rewrite`, so a step costs its segment, not the whole word, and
+reads the rule's table and segment length without a method call.
+
+A script file is read by the lenient :func:`parse_script` (comments,
+blank lines, any indentation).  A certificate's script section is read
+by :func:`parse_script_section`, which accepts only the text
+:func:`format_script_section` writes, in whole-section passes that run
+in C, and resolves each distinct step text once.
 
 The bounded search :func:`equal_modulo_rules` works on words encoded as
 ``str``, one ASCII character per signed letter of ``GENERATORS`` (the
@@ -49,12 +56,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import product, repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .words import GENERATORS, Letter, Word, WordSyntaxError, letter, word
+from .words import GENERATORS, Letter, Word, WordSyntaxError, letter, spelled_word, word
 
 #: The reflection's action on curves: fixes b, a1, c1 and swaps a2/a3, c2/c3.
 SIGMA = {
@@ -175,6 +182,8 @@ class UnknownRule(KeyError):
 
     line: int | None = None
 
+    __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -264,10 +273,17 @@ class ProofScript:
 
 def rewrite(letters: list[Letter], step: ProofStep) -> None:
     """Apply one step to ``letters`` in place; raise :class:`PatternMismatch`,
-    leaving ``letters`` untouched, if it does not fit."""
+    leaving ``letters`` untouched, if it does not fit.  It matches as
+    :meth:`Rule.match` does, reading the rule's table and segment length
+    directly: a step makes no method call."""
     rule, direction, pos = step
-    repl = rule.match(letters, pos, direction)
-    n = rule.pattern_len(direction)
+    if direction is Direction.LR:
+        table, n = rule._lr, rule._lr_len
+    else:
+        table, n = rule._rl, rule._rl_len
+    end = pos + n
+    # a negative pos would wrap around; FREE_RED RL matches the empty segment
+    repl = table.get(tuple(letters[pos:end])) if 0 <= pos and end <= len(letters) else None
     if repl is None:
         found = " ".join(str(lt) for lt in letters[pos:pos + n])
         raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
@@ -350,6 +366,13 @@ class Presentation:
 
     def __contains__(self, rule: Rule) -> bool:
         return (rule.family, rule.params) in self._rules
+
+    @cached_property
+    def _step_texts(self) -> dict[str, tuple[Rule, Direction]]:
+        """``"RULE(params) DIR @ "``, a step line's text between its label
+        and its position, mapped to the rule and direction it names.
+        Built once, on first use."""
+        return {rule._texts[d]: (rule, d) for rule in self._rules.values() for d in Direction}
 
     def _segment_index(self) -> _SegmentIndex:
         """Every segment a rule other than FREE_RED rewrites, in either
@@ -435,6 +458,83 @@ def format_script(script: ProofScript) -> str:
               for i, (rule, direction, position) in enumerate(script.steps, start=1)]
     lines.append(f"end: {script.end}")
     return "\n".join(lines) + "\n"
+
+
+def format_script_section(script: ProofScript) -> str:
+    """The script section of a certificate: the lines of
+    :func:`format_script`, each indented by two spaces."""
+    return "  " + format_script(script)[:-1].replace("\n", "\n  ") + "\n"
+
+
+def parse_script_section(text: str, presentation: Presentation, first_line: int = 1
+                         ) -> ProofScript:
+    """Read a certificate's script section: exactly the text that
+    :func:`format_script_section` writes for some script, resolving rules
+    against ``presentation``.  Lines are numbered from ``first_line``.
+
+    A canonical section is read in bulk (see :func:`_read_section`).
+    Any other text is handed to :func:`parse_script`, whose error names
+    the line it cannot read; a text it does read is readable but not
+    canonical, and the error names the first line that differs from the
+    section of the script it read, with the expected and the found text."""
+    script = _read_section(text, presentation)
+    if script is None:
+        script = parse_script(text, presentation, first_line)
+        expected = format_script_section(script).split("\n")
+        for number, (got, want) in enumerate(zip_longest(text.split("\n"), expected),
+                                             start=first_line):
+            if got != want:
+                raise ScriptSyntaxError(f"line {number}: expected {want!r}, found {got!r}")
+    return script
+
+
+#: Step lines are read in place this many at a time.
+_CHUNK = 4096
+
+
+def _read_section(text: str, presentation: Presentation) -> ProofScript | None:
+    """The script of a canonical script section, or None for any other
+    text.  Every pass over the lines runs in C: one split, a
+    ``startswith`` check, ``removeprefix`` of each step label in place
+    (``_CHUNK`` lines at a time, so the bodies never exist beside the
+    whole list of lines), and one lookup per line of the step shared by
+    its distinct text.  A distinct text ``RULE(params) DIR @ pos`` is
+    resolved by one table lookup of its text up to the position, and
+    ``pos`` must be an ``int`` as ``str`` spells it.  A step line without
+    its own label keeps its ``"  step "`` start, which no rule text has."""
+    lines = text.split("\n")
+    if len(lines) < 3 or lines[-1]:
+        return None
+    start = _spelled_line(lines[0], "  start: ")
+    end = _spelled_line(lines[-2], "  end: ")
+    del lines[-2:], lines[0]
+    if start is None or end is None or not all(map(str.startswith, lines, repeat("  step "))):
+        return None
+    for i in range(0, len(lines), _CHUNK):
+        lines[i:i + _CHUNK] = map(str.removeprefix, lines[i:i + _CHUNK],
+                                  map("  step %d: ".__mod__, range(i + 1, i + _CHUNK + 1)))
+    distinct = list(set(lines))
+    texts = list(map(str.rstrip, distinct, repeat("0123456789")))
+    named = list(map(presentation._step_texts.get, texts))
+    if None in named:
+        return None
+    digits = list(map(str.removeprefix, distinct, texts))
+    try:
+        positions = list(map(int, digits))
+    except ValueError:  # no digits
+        return None
+    if list(map(str, positions)) != digits:  # a leading zero
+        return None
+    # ProofStep(rule, direction, position) of each distinct text, made in C
+    steps = map(tuple.__new__, repeat(ProofStep), map(tuple.__add__, named, zip(positions)))
+    shared = dict(zip(distinct, steps))
+    return ProofScript(start, tuple(map(shared.__getitem__, lines)), end)
+
+
+def _spelled_line(line: str, prefix: str) -> Word | None:
+    """The word ``w`` of the line ``prefix + str(w)``, or None if ``line``
+    is no such line."""
+    return spelled_word(line[len(prefix):]) if line.startswith(prefix) else None
 
 
 def _line_word(text: str, lineno: int) -> Word:

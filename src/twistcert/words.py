@@ -110,6 +110,21 @@ class Word:
         return power(self, n)
 
 
+#: Every signed letter by its one spelling, e.g. "a1^-1".
+_SPELLINGS = {str(lt): lt for lt in (Letter(name, sign) for name in GENERATORS
+                                     for sign in (1, -1))}
+
+
+def spelled_word(text: str) -> Word | None:
+    """The word of ``GENERATORS`` letters whose ``str`` is ``text``, or
+    None if there is none: one dictionary lookup per letter, for text that
+    a word wrote.  Other text is for :func:`word` to read or refuse."""
+    if not text:
+        return Word()
+    letters = tuple(map(_SPELLINGS.get, text.split(" ")))
+    return None if None in letters else Word(letters)
+
+
 def word(text: str) -> Word:
     """Parse the word grammar.  Unknown generator names are rejected."""
     tokens = text.split()

@@ -518,7 +518,7 @@ def test_central_rearrange_matches_one_swap_at_a_time(seed):
     ("a1 a2", "a2 a1", (AssertionError, "neither a1 nor a2 is central; cannot rearrange")),
     ("b c2 a3^-1", "a3^-1 b c2", (AssertionError, "neither b nor a3^-1 is central; cannot rearrange")),
     ("c1 c1^-1", "c1^-1 c1", (AssertionError, "cannot swap a central letter past itself")),
-    ("r c1", "c1 r", (UnknownRule, "\"CENTRAL(c1,r) is not in presentation 'torus'\"")),
+    ("r c1", "c1 r", (UnknownRule, "CENTRAL(c1,r) is not in presentation 'torus'")),
 ])
 def test_central_rearrange_refuses_a_swap_no_rule_makes(start, target, error):
     assert _rearranged(_central_rearrange, word(start), word(target)) == error

@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, deterministic output, file round-trips."""
 
 import hashlib
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from twistcert import fixture_path
 from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
 from twistcert import (build_certificate, CurveClass, Direction, ProofStep, SurfaceSpec,
                        torus_presentation)
+from twistcert.presentation import _read_section, every_rule, format_script, parse_script
 
 from test_certificates import recorded_determinant_certificate
 
@@ -331,6 +333,8 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
     (_ONE_STEP, 26, lambda line: "  step 3 garbage", "line 26: cannot parse 'step 3 garbage'"),
     (_ONE_STEP, 26, lambda line: line.replace("FREE_RED(r)", "BOGUS()"),
      "line 26: BOGUS() is not in presentation 'every-rule'"),
+    (_ONE_STEP, 26, lambda line: line.removeprefix("  step 3: "),
+     "line 26: cannot parse 'FREE_RED(r) RL @ 13'"),
     (_ONE_STEP, 23, lambda line: line.replace("start: b ", "start: zz "),
      "line 23: unknown generator 'zz'"),
     (_ONE_STEP, 7, lambda line: "genus-bound: x",
@@ -341,8 +345,8 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
      "line 3: surface: cannot parse surface spec 'q:10'; expected o:<g> or n:<g>"),
     (_TWIST_OC, 19, lambda line: "membership-x: yes",
      "line 19: membership-x: invalid literal for int() with base 10: 'yes'"),
-], ids=["garbled-step", "unknown-rule", "unknown-generator", "genus-bound", "n", "surface",
-        "membership-x"])
+], ids=["garbled-step", "unknown-rule", "unlabelled-step", "unknown-generator", "genus-bound",
+        "n", "surface", "membership-x"])
 def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, source, number,
                                                              edit, message):
     bad = _edit_line(_certificate_text(*source), number, edit)
@@ -355,6 +359,50 @@ def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, s
     assert code == 2 and out == "" and err == f"error: certificate {message}\n"
 
 
+_STEP_3 = "step 3: FREE_RED(r) RL @ 13"
+
+
+@pytest.mark.parametrize("number, edit, message", [
+    (26, lambda line: " " + line,
+     f"line 26: expected '  {_STEP_3}', found '   {_STEP_3}'"),
+    (28, lambda line: line.replace("step 5:", "step 05:"),
+     "line 28: expected '  step 5: FREE_RED(r) RL @ 11', found '  step 05: FREE_RED(r) RL @ 11'"),
+    (45, lambda line: line.replace("@ 7", "@ 07"),
+     "line 45: expected '  step 22: FREE_RED(a1^-1) LR @ 7', "
+     "found '  step 22: FREE_RED(a1^-1) LR @ 07'"),
+    (26, lambda line: line + "  # comment",
+     f"line 26: expected '  {_STEP_3}', found '  {_STEP_3}  # comment'"),
+    (26, lambda line: line + "\n",
+     "line 27: expected '  step 4: FREE_RED(r) RL @ 12', found ''"),
+    (70, lambda line: line.replace("end: c1", "end: ( c1 )^1"),
+     "line 70: expected '  end: c1', found '  end: ( c1 )^1'"),
+    (71, lambda line: "  # the end", "line 71: expected '', found '  # the end'"),
+    (71, lambda line: "\n", "line 72: expected None, found ''"),
+], ids=["three-space-indent", "step-05", "position-07", "trailing-comment", "blank-line",
+        "grouped-end-word", "comment-after-the-end", "blank-line-after-the-end"])
+def test_a_respelled_script_section_is_refused_at_its_line(tmp_path, capsys, number, edit,
+                                                           message):
+    """The script section has one spelling; the same respelling of a
+    script file still verifies."""
+    text = _certificate_text(*_ONE_STEP)
+    bad = _edit_line(text, number, edit)
+    assert bad != text
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(bad)
+    assert str(exc.value) == f"certificate {message}"
+    path = tmp_path / "respelled.txt"
+    path.write_text(bad)
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == "" and err == f"error: certificate {message}\n"
+
+    # line 23 of the certificate is line 1 of its script
+    script_text = format_script(parse_certificate(text).script)
+    path = tmp_path / "respelled.proof"
+    path.write_text(_edit_line(script_text, number - 22, edit))
+    code, out, err = invoke(capsys, "verify-script", str(path))
+    assert code == 0 and err == "" and "ok: end word reached: c1" in out
+
+
 def test_an_unknown_rule_in_a_script_file_is_named_by_its_line(tmp_path, capsys):
     path = tmp_path / "bogus.proof"
     path.write_text("# one comment line\nstart: b\nstep 1: BOGUS() LR @ 0\nend: b\n")
@@ -365,7 +413,7 @@ def test_an_unknown_rule_in_a_script_file_is_named_by_its_line(tmp_path, capsys)
 
 def test_edited_certificates_verify_only_with_their_own_header():
     """A seeded fuzz: 3,000 texts, each with 1-3 lines deleted, duplicated
-    or with one character replaced.  A text that parses has the header of
+    or with one character replaced.  A text that parses is the text of
     the certificate it parsed to, and a text that verifies has its
     source's header, byte for byte."""
     import random
@@ -398,6 +446,7 @@ def test_edited_certificates_verify_only_with_their_own_header():
         except (ValueError, KeyError):  # exit 2
             pass
         else:
+            assert text == format_certificate(cert), trial
             head = text.partition("\nscript:\n")[0]
             assert head == "\n".join(_header(cert)), trial
             if verify_certificate(cert).ok:
@@ -407,9 +456,20 @@ def test_edited_certificates_verify_only_with_their_own_header():
     assert accepted > 0  # edits that change no byte, such as a character replaced by itself
 
 
+def _assert_read_as_a_script_file(text):
+    """The canonical reader gives the script that ``parse_script``, the
+    reader of script files, gives for the dedented section, and it reads
+    the section in bulk, without handing it to ``parse_script``."""
+    section = text.partition("\nscript:\n")[2]
+    script = parse_certificate(text).script
+    assert script == parse_script(textwrap.dedent(section), every_rule())
+    assert _read_section(section, every_rule()) == script
+
+
 def test_every_sweep_certificate_round_trips():
     """format(parse(text)) == text for every certificate of the benchmark's
-    sweep domain, at a seeded n in -2..2 for each request."""
+    sweep domain, at a seeded n in -2..2 for each request, and its script
+    is the one ``parse_script`` reads."""
     import random
 
     from twistcert import OutOfScope, Unrealizable
@@ -428,8 +488,20 @@ def test_every_sweep_certificate_round_trips():
                         continue
                     assert format_certificate(parse_certificate(text)) == text, (
                         kind, genus, curve, flavor, n)
+                    _assert_read_as_a_script_file(text)
                     count += 1
     assert count == 1153
+
+
+@pytest.mark.parametrize("source", [
+    ("o:3", "nonsep", 32, "extended-group"),
+    ("o:3", "nonsep", 64, "extended-group"),
+    ("n:8", "nonsep:nc", -64, "twist-subgroup"),
+], ids=["o:3-n32", "o:3-n64", "n:8-nonsep:nc-n-64"])
+def test_large_certificates_are_read_as_script_files_read_them(source):
+    text = _certificate_text(*source)
+    assert format_certificate(parse_certificate(text)) == text
+    _assert_read_as_a_script_file(text)
 
 
 def test_certificate_format_round_trip():

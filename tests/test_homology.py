@@ -171,6 +171,36 @@ def test_matrix_powers_by_squaring_match_repeated_products(make):
             assert (m ** k).rows == tuple(map(tuple, expected)), (name, k)
 
 
+@pytest.mark.parametrize("k", range(-17, 18))
+def test_matrix_powers_take_the_first_factor_as_it_is(monkeypatch, k):
+    """|k| = 2^j takes j products, and any |k| takes the squarings up to
+    its top bit and one product per further set bit: never a product by
+    the identity."""
+    m = genus3_with_h_assignment().matrices["b"]
+    expected = m.inverse() if k < 0 else m
+    power = m.identity(m.dim)
+    for _ in range(abs(k)):
+        power = power * expected
+    products = []
+    real = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__",
+                        lambda a, b: products.append(1) or real(a, b))
+    assert m ** k == power
+    bits = abs(k).bit_length()
+    assert len(products) == (bits - 1 + bin(abs(k)).count("1") - 1 if k else 0)
+
+
+def test_products_are_square_and_outside_rows_are_checked():
+    rng = random.Random(5)
+    a, b = random_int_matrix(rng, 4), random_int_matrix(rng, 4)
+    for made in (a * b, a ** 3, -a, a.transpose(), IntMatrix.identity(4)):
+        assert made == IntMatrix.from_rows(made.rows)  # the checked constructor agrees
+    with pytest.raises(ValueError, match="square"):
+        IntMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="square"):
+        IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         IntMatrix.identity(2) * IntMatrix.identity(3)
