@@ -549,15 +549,16 @@ def parse_script(text: str, presentation: Presentation, first_line: int = 1) -> 
     ``presentation``.  Each distinct text after ``step <k>: `` becomes one
     :class:`ProofStep`, shared by every line that repeats it: steps are
     immutable, and the step pattern and rule lookup run once per
-    distinct text, not once per line.  Errors number the lines from
-    ``first_line``, the number of the text's first line in its file."""
+    distinct text, not once per line.  Lines end only at a line feed, as a
+    certificate's do, and errors number them from ``first_line``, the
+    number of the text's first line in its file."""
     start: Word | None = None
     end: Word | None = None
     steps: list[ProofStep] = []
     shared: dict[str, ProofStep] = {}
     # each distinct "RULE(params) DIR" text is resolved once per script
     resolved: dict[tuple[str, str, str], tuple[Rule, Direction]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=first_line):
+    for lineno, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.split("#", 1)[0].strip()
         label, _, body = line.partition(": ")
         step = shared.get(body)

@@ -29,8 +29,8 @@ from twistcert import (
     word,
 )
 from twistcert import certificates
-from twistcert.certificates import (CLAIMS, MembershipRecord, P_WORD, Q_WORD, ScriptBuilder,
-                                    _central_rearrange, _claim_shadows)
+from twistcert.certificates import (CLAIMS, Claim, MembershipRecord, P_WORD, Q_WORD,
+                                    ScriptBuilder, _central_rearrange, _row_homology_ok)
 from twistcert.homology import ASSIGNMENTS
 from twistcert.presentation import PRESENTATIONS, PatternMismatch, UnknownRule
 from twistcert.cli import format_certificate, parse_certificate
@@ -237,6 +237,26 @@ def test_forced_rh_membership_requires_the_rh_shape():
     assert not report.ok
 
 
+def test_a_script_that_ends_where_it_starts_is_rejected():
+    cert = build_certificate(O3, NONSEP, 1, "extended-group")
+    start = cert.script.start
+    report = verify_certificate(replace(cert, script=ProofScript(start, (), start)))
+    assert not report.ok and report.script_ok and report.homology_ok
+    assert report.message == "script end is not the target word"
+
+
+def test_a_record_of_an_entry_outside_the_twist_subgroup_is_rejected():
+    """x times h has determinant -1; its record matches its recomputation
+    and still certifies nothing."""
+    cert = build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 2, "twist-subgroup")
+    x = concat(cert.x, word("h"))
+    membership = MembershipRecord(-1, 1, cert.membership.note)
+    assert certificates._membership(cert.flavor, cert.case, x, cert.y, cert.surface) == membership
+    report = verify_certificate(replace(cert, x=x, membership=membership))
+    assert not report.ok and report.membership_ok is False
+    assert "membership record does not certify both entries" in report.message
+
+
 def test_empty_claim_with_an_empty_script_fails():
     cert = build_certificate(O3, NONSEP, 2, "extended-group")
     empty = ProofScript(Word(), (), Word())
@@ -407,16 +427,41 @@ def test_every_rule_holds_in_the_model_of_its_row():
     assert instances == {"torus": 181, "torus+h": 211, "even-power": 6}
 
 
-@pytest.mark.parametrize("y_choice", sorted(CLAIMS))
-def test_squared_claim_shadows_equal_the_images_of_the_written_words(y_choice):
-    claim = CLAIMS[y_choice]
+def _holds_in_homology(claim, n):
+    """The claim at n in its row's model, from the images of the written
+    words [x_base^n, y] and target_base^n."""
     model = ASSIGNMENTS[claim.assignment]()
-    for n in range(-16, 17):
-        commutator_shadow, target_shadow = _claim_shadows(y_choice, n)
-        x = power(claim.x_base, n)
-        assert commutator_shadow == evaluate_rep(commutator(x, claim.y), model), n
-        target = power(claim.target_base, claim.multiplier * n)
-        assert target_shadow == evaluate_rep(target, model), n
+    return (evaluate_rep(commutator(power(claim.x_base, n), claim.y), model)
+            == evaluate_rep(power(claim.target_base, n), model))
+
+
+@pytest.mark.parametrize("y_choice", sorted(CLAIMS))
+def test_each_claim_row_passes_its_homology_check_as_the_written_words_do(y_choice):
+    claim = CLAIMS[y_choice]
+    assert _row_homology_ok(claim)
+    assert [n for n in range(-16, 17) if not _holds_in_homology(claim, n)] == []
+
+
+@pytest.mark.parametrize("claim, first_failure", [
+    # c^n = [c^n, s] = c^(2n) fails at once
+    (Claim(word("c"), word("c"), word("s"), "even-power", "curve-reverser"), 1),
+    # [b, a1] is its own target, but [b^2, a1] is not the target squared
+    (Claim(word("b a1 b^-1 a1^-1"), word("b"), word("a1"), "torus", "genus3"), 2),
+], ids=["false-at-1", "false-at-2"])
+def test_a_false_claim_row_fails_its_homology_check(claim, first_failure):
+    """Each equation of the row check is needed: the first row fails the
+    claim at n = 1, and the second holds at n = 1 but fails at n = 2."""
+    assert not _row_homology_ok(claim)
+    assert [n for n in range(1, 3) if not _holds_in_homology(claim, n)][0] == first_failure
+
+
+def test_a_row_that_fails_its_homology_check_fails_every_certificate(monkeypatch):
+    monkeypatch.setattr(certificates, "_row_homology_ok", lambda claim: False)
+    cert = build_certificate(O3, NONSEP, 2, "extended-group")
+    assert cert.homology_ok is False
+    report = verify_certificate(replace(cert, homology_ok=True))
+    assert not report.ok and report.script_ok and report.homology_ok is False
+    assert report.message == "the claim row fails its homology check"
 
 
 def test_a_huge_edited_n_fails_before_any_squaring():

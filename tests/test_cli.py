@@ -359,6 +359,45 @@ def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, s
     assert code == 2 and out == "" and err == f"error: certificate {message}\n"
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_only_a_line_feed_ends_a_script_line(tmp_path, capsys, separator):
+    """A character that ``str.splitlines`` also breaks at does not shift
+    the line that an error names."""
+    text = _edit_line(_certificate_text(*_ONE_STEP), 30, lambda line: line + separator)
+    bad = _edit_line(text, 40, lambda line: "  step 17 garbage")
+    message = "certificate line 40: cannot parse 'step 17 garbage'"
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(bad)
+    assert str(exc.value) == message
+    path = tmp_path / "unreadable.txt"
+    path.write_text(bad, encoding="utf-8")
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_a_script_file_with_crlf_endings_verifies(tmp_path, capsys):
+    text = fixture_path("chain_a.proof").read_text()
+    crlf = text.replace("\n", "\r\n")
+    assert parse_script(crlf, every_rule()) == parse_script(text, every_rule())
+    path = tmp_path / "crlf.proof"
+    path.write_bytes(crlf.encode())
+    code, out, err = invoke(capsys, "verify-script", str(path))
+    assert code == 0 and err == "" and "ok: end word reached: b a2 a3 b a1 a2 b a2" in out
+
+
+def test_a_section_cut_to_its_start_and_end_fails_verification(tmp_path, capsys):
+    """Zero steps from [x, y] to [x, y] replay, but do not reach the target."""
+    head, _, section = _certificate_text(*_ONE_STEP).partition("\nscript:\n")
+    start = section.split("\n")[0]
+    assert start.startswith("  start: ")
+    path = tmp_path / "cut.txt"
+    path.write_text(f"{head}\nscript:\n{start}\n  end: {start[len('  start: '):]}\n")
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 1 and err == "" and "script steps: 0\n" in out
+    assert out.endswith("\nFAIL: script end is not the target word\n")
+
+
 _STEP_3 = "step 3: FREE_RED(r) RL @ 13"
 
 
