@@ -47,7 +47,6 @@ from .homology import (
     HomologyAssignment,
     IntMatrix,
     MissingGenerator,
-    NonInvertibleAssignment,
     SymplecticSpace,
     UndefinedDet,
     curve_reverser_assignment,

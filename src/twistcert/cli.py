@@ -237,7 +237,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
-    cert = parse_certificate(args.path.read_text())
+    # the exact text: universal newlines would turn \r\n into \n before
+    # parse_certificate could refuse it
+    cert = parse_certificate(args.path.read_bytes().decode("utf-8"))
     report = verify_certificate(cert)
     print(f"flavor: {cert.flavor}")
     print(f"n: {cert.n}")

@@ -2,9 +2,10 @@
 
 Dehn twists act on first homology by transvections x -> x + sign.<x,v>.v;
 the sign convention here is "right twist = +", pinned by requiring the
-homology shadow of the star relation, (T_b T_a^3)^3 = 1, to hold.  All
-arithmetic is arbitrary-precision integer; nothing in this module touches
-floating point.
+homology shadow of the star relation, (T_b T_a^3)^3 = 1, to hold.  Every
+generator preserves or negates the intersection form J, so its inverse is
+the integer matrix -sigma.J.M^T.J that the form check yields.  All
+arithmetic is arbitrary-precision integer: no fractions, no floating point.
 
 Three assignments ship:
 
@@ -21,7 +22,6 @@ Three assignments ship:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -35,12 +35,6 @@ class MissingGenerator(ValueError):
         self.name = name
 
 
-class NonInvertibleAssignment(ValueError):
-    def __init__(self, name: str):
-        super().__init__(f"matrix assigned to {name!r} is not invertible over the integers")
-        self.name = name
-
-
 class UndefinedDet(ValueError):
     def __init__(self, name: str, reason: str = ""):
         msg = f"no determinant value for generator {name!r}"
@@ -50,7 +44,8 @@ class UndefinedDet(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """A square matrix with exact integer entries."""
+    """A square matrix with exact integer entries; its arithmetic (products,
+    nonnegative powers, transpose, determinant) stays in the integers."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -65,16 +60,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
-        return cls._square(tuple(tuple(1 if i == j else 0 for j in range(dim))
-                                 for i in range(dim)))
-
-    @classmethod
-    def _square(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """A matrix of rows that are square by construction, such as a
-        product's, made without the check of ``__post_init__``."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
-        return matrix
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(dim))
+                         for i in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -84,33 +71,25 @@ class IntMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cols = list(zip(*other.rows))
-        return IntMatrix._square(tuple(
+        return IntMatrix(tuple(
             tuple(sum(map(mul, row, col)) for col in cols)
             for row in self.rows))
 
     def __pow__(self, n: int) -> "IntMatrix":
-        """The n-th power by repeated squaring: the lowest set bit of |n|
-        gives the first factor as it is, so |n| = 2^j takes j products and
-        any |n| at most 2 log2 |n|.  A negative n raises the exact inverse."""
-        base = self.inverse() if n < 0 else self
-        k = abs(n)
-        if not k:
-            return IntMatrix.identity(self.dim)
-        while not k & 1:
-            base, k = base * base, k >> 1
-        result, k = base, k >> 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
+        """The n-th power, n >= 0, as n products; a generator's inverse
+        comes from its assignment, not from here."""
+        if n < 0:
+            raise ValueError(f"matrix power {n} is negative")
+        result = IntMatrix.identity(self.dim)
+        for _ in range(n):
+            result = result * self
         return result
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._square(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._square(tuple(zip(*self.rows)))
+        return IntMatrix(tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dim)
@@ -141,27 +120,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[d - 1][d - 1]
-
-    def inverse(self) -> "IntMatrix":
-        """Exact inverse; defined only for matrices invertible over Z."""
-        d = self.dim
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-               for i, row in enumerate(self.rows)]
-        for col in range(d):
-            pivot = next((i for i in range(col, d) if aug[i][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(d):
-                if i != col and aug[i][col]:
-                    factor = aug[i][col]
-                    aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-        entries = [row[d:] for row in aug]
-        if any(x.denominator != 1 for row in entries for x in row):
-            raise ValueError("matrix is not invertible over the integers")
-        return IntMatrix.from_rows([[int(x) for x in row] for row in entries])
 
     def __str__(self) -> str:
         width = max((len(str(x)) for row in self.rows for x in row), default=1)
@@ -218,7 +176,10 @@ def transvection(space: SymplecticSpace, v: Sequence[int], sign: int = 1) -> Int
 
 class HomologyAssignment:
     """A generator -> matrix map with the declared form behaviour checked
-    at construction: twists preserve the form, the reflection negates it."""
+    at construction: twists preserve the form J, the reflection negates it.
+    A matrix M with M^T J M = sigma.J has the integer inverse
+    -sigma.J.M^T.J, so the check also yields every inverse; a singular or
+    non-unimodular matrix fails it."""
 
     def __init__(self, assignment_id: str, space: SymplecticSpace,
                  matrices: Mapping[str, IntMatrix], form_signs: Mapping[str, int]):
@@ -232,15 +193,13 @@ class HomologyAssignment:
             if mat.dim != space.dim:
                 raise ValueError(f"matrix for {name!r} has dimension {mat.dim}, "
                                  f"space has {space.dim}")
-            if mat.det() not in (1, -1):
-                raise NonInvertibleAssignment(name)
-            self._inverses[name] = mat.inverse()
-            declared = self.form_signs.get(name, 1)
-            got = mat.transpose() * form * mat
-            expected = form if declared == 1 else -form
-            if got != expected:
+            preserves = self.form_signs.get(name, 1) == 1
+            transpose_form = mat.transpose() * form
+            if transpose_form * mat != (form if preserves else -form):
                 raise ValueError(f"matrix for {name!r} does not "
-                                 f"{'preserve' if declared == 1 else 'negate'} the form")
+                                 f"{'preserve' if preserves else 'negate'} the form")
+            inverse = form * transpose_form
+            self._inverses[name] = -inverse if preserves else inverse
 
     def covers(self, w: Word) -> bool:
         return all(lt.name in self.matrices for lt in w)
@@ -253,8 +212,8 @@ class HomologyAssignment:
 
 
 def evaluate_rep(w: Word, assignment: HomologyAssignment) -> IntMatrix:
-    """Product of the assigned matrices in word order; exact inverses for
-    inverse letters.  The empty word gives the identity."""
+    """Product of the assigned matrices in word order; the form-given
+    inverses for inverse letters.  The empty word gives the identity."""
     result = IntMatrix.identity(assignment.space.dim)
     for lt in w:
         result = result * assignment.matrix(lt.name, lt.sign)

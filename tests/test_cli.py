@@ -376,6 +376,33 @@ def test_only_a_line_feed_ends_a_script_line(tmp_path, capsys, separator):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+def _join_line_26_by_a_lone_cr(text):
+    lines = text.split("\n")
+    lines[25] += "\r" + lines.pop(26)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("\n", "\r\n"),
+     "line 22: expected 'script:', found 'script:\\r'"),
+    (lambda text: _edit_line(text, 26, lambda line: line + "\r"),
+     "line 26: expected '  step 3: FREE_RED(r) RL @ 13', found '  step 3: FREE_RED(r) RL @ 13\\r'"),
+    (_join_line_26_by_a_lone_cr,
+     "line 26: cannot parse 'step 3: FREE_RED(r) RL @ 13\\r  step 4: FREE_RED(r) RL @ 12'"),
+], ids=["every-line", "one-line", "lone-cr"])
+def test_a_certificate_file_with_cr_line_ends_is_refused(tmp_path, capsys, edit, message):
+    """verify-cert reads a file's exact text: a \\r, which
+    format_certificate never writes, is not read as a line end."""
+    bad = edit(_certificate_text(*_ONE_STEP))
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(bad)
+    assert str(exc.value) == f"certificate {message}"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(bad.encode())
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == "" and err == f"error: certificate {message}\n"
+
+
 def test_a_script_file_with_crlf_endings_verifies(tmp_path, capsys):
     text = fixture_path("chain_a.proof").read_text()
     crlf = text.replace("\n", "\r\n")

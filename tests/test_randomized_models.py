@@ -44,11 +44,19 @@ def conjugated_assignment(request):
     base = genus3_assignment()
     space = base.space
     s = random_symplectic(space, rng)
-    s_inv = s.inverse()
+    form = space.form
+    s_inv = -(form * s.transpose() * form)  # s preserves the form
+    assert (s * s_inv).is_identity()
     matrices = {name: s * mat * s_inv for name, mat in base.matrices.items()}
-    # construction re-validates unimodularity and form behaviour
+    # construction re-validates form behaviour
     return HomologyAssignment(f"genus3-conj-{request.param}", space,
                               matrices, base.form_signs)
+
+
+def test_conjugated_generator_inverses_are_two_sided(conjugated_assignment):
+    for name, m in conjugated_assignment.matrices.items():
+        assert (m * conjugated_assignment.matrix(name, -1)).is_identity(), name
+        assert (conjugated_assignment.matrix(name, -1) * m).is_identity(), name
 
 
 def test_conjugated_assignment_is_genuinely_different(conjugated_assignment):
