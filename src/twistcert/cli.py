@@ -1,8 +1,10 @@
 """Command-line front end and the certificate text format.
 
 Exit codes: 0 = verified/ok, 1 = verification failed, 2 = usage or
-realizability error.  Output is plain text with stable field ordering;
-nothing here depends on time, locale or dict-iteration accidents.
+realizability error: ``run`` prints any ``ValueError`` or ``OSError``
+of a subcommand's handler as ``error: <message>``, and a script or
+certificate error names its line.  Output is plain text with stable field
+ordering; nothing here depends on time, locale or dict-iteration accidents.
 
 A certificate has one text: ``_header`` writes its header lines, and
 ``parse_certificate`` accepts a header only if ``_header`` of the
@@ -25,11 +27,10 @@ from .certificates import (
     build_certificate,
     verify_certificate,
 )
-from .homology import ASSIGNMENTS, UndefinedDet, det_hom, evaluate_rep
+from .homology import ASSIGNMENTS, det_hom, evaluate_rep
 from .presentation import (
     PRESENTATIONS,
     ScriptSyntaxError,
-    UnknownRule,
     every_rule,
     format_script,
     format_script_section,
@@ -48,7 +49,7 @@ from .surfaces import (
     scl_upper_bound,
     select_case,
 )
-from .words import Word, WordSyntaxError, spelled_word, word
+from .words import Word, spelled_word, word
 
 _GRAMMAR_HELP = """\
 word grammar:   whitespace-separated tokens; token = name or name^-1 with
@@ -75,26 +76,31 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-script", help="replay a proof script file")
+    p.set_defaults(handler=_cmd_verify_script)
     p.add_argument("path", type=Path)
     p.add_argument("--rules", choices=list(PRESENTATIONS),
                    default="torus+h", help="rule set to resolve steps against")
 
     p = sub.add_parser("rep-check", help="evaluate a word in an integer homology assignment")
+    p.set_defaults(handler=_cmd_rep_check)
     p.add_argument("--word", required=True)
     p.add_argument("--assignment", choices=sorted(ASSIGNMENTS), default="genus3")
 
     p = sub.add_parser("det", help="determinant homomorphism and twist-subgroup membership")
+    p.set_defaults(handler=_cmd_det)
     p.add_argument("--word", required=True)
     p.add_argument("--genus", type=int, required=True, help="nonorientable genus")
     p.add_argument("--k", type=int, default=None,
                    help="orientable-complement embedding parameter; genus = 2(k+3)")
 
     p = sub.add_parser("classify", help="normalise a curve class and list applicable cases")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--surface", required=True, help="o:<g> or n:<g>")
     p.add_argument("--curve", required=True,
                    help="sep:<side>+<side> (side = o<g>|n<g>), nonsep, nonsep:oc, nonsep:nc")
 
     p = sub.add_parser("certify", help="build a commutator certificate")
+    p.set_defaults(handler=_cmd_certify)
     p.add_argument("--surface", required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--flavor", required=True,
@@ -108,6 +114,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="also write the proof script to this path")
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate file")
+    p.set_defaults(handler=_cmd_verify_cert)
     p.add_argument("path", type=Path)
 
     return parser
@@ -120,34 +127,14 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
-    except (WordSyntaxError, ScriptSyntaxError, UnknownRule, Unrealizable,
-            UndefinedDet, ValueError, OSError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
         if isinstance(exc, OutOfScope):
             kind = "out of scope (conjectural)" if exc.conjectural else "out of scope"
             print(f"error: {kind}: {exc}", file=sys.stderr)
-        elif isinstance(exc, UnknownRule):
-            where = "" if exc.line is None else f"line {exc.line}: "
-            print(f"error: {where}{exc}", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "verify-script":
-        return _cmd_verify_script(args)
-    if args.command == "rep-check":
-        return _cmd_rep_check(args)
-    if args.command == "det":
-        return _cmd_det(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    if args.command == "verify-cert":
-        return _cmd_verify_cert(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def _cmd_verify_script(args: argparse.Namespace) -> int:
@@ -255,6 +242,7 @@ _KEYS = ("twistcert-certificate", "flavor", "surface", "curve", "theorem", "case
          "genus-bound", "y-choice", "k", "r-det", "forced-rh", "twist-admissible",
          "n", "target", "x", "y", "assignment", "homology-check",
          "membership-x", "membership-y", "membership-note")
+_VERSION_LINE = "twistcert-certificate: 1"  # the first line _header writes
 
 
 def _opt(value, render=str) -> str:
@@ -307,7 +295,8 @@ def _check_lines(found: list[str], expected: list[str]) -> None:
 def parse_certificate(text: str) -> Certificate:
     """Read the one text :func:`format_certificate` writes for a certificate.
 
-    The header keys must be ``_KEYS`` in order, and ``_header`` of the
+    The first line must be ``_VERSION_LINE``, the other header keys
+    must be ``_KEYS`` in order, and ``_header`` of the
     parsed certificate must give back every header line byte for byte;
     otherwise ``CertificateSyntaxError`` names the first line that differs.
     The script section is read by :func:`parse_script_section`, which
@@ -322,7 +311,8 @@ def parse_certificate(text: str) -> Certificate:
     # the script: line closes the header, so a missing or an extra line shows there
     lines = (head + sep.rstrip("\n")).split("\n")
     keys = [key + colon for key, colon, _ in (line.partition(": ") for line in lines)]
-    _check_lines(keys, [*(f"{key}: " for key in _KEYS), "script:"])
+    keys[0] = lines[0]  # read whole, so another version or line end is named at line 1
+    _check_lines(keys, [_VERSION_LINE, *(f"{key}: " for key in _KEYS[1:]), "script:"])
     fields = {key: line[len(key) + 2:] for key, line in zip(_KEYS, lines)}
 
     def field(key: str, decode):
@@ -365,8 +355,6 @@ def parse_certificate(text: str) -> Certificate:
         script = parse_script_section(script_text, every_rule(), first_line=len(lines) + 1)
     except ScriptSyntaxError as exc:
         raise CertificateSyntaxError(f"certificate {exc}") from None
-    except UnknownRule as exc:
-        raise CertificateSyntaxError(f"certificate line {exc.line}: {exc}") from None
     membership = None
     if fields["membership-x"] != "-":
         det_y = None if fields["membership-y"] == "conditional" else field("membership-y", int)

@@ -177,10 +177,9 @@ class PatternMismatch(Exception):
 
 
 class UnknownRule(KeyError):
-    """A rule no presentation at hand holds.  ``line`` is the number of the
-    script line that names it, when :func:`parse_script` raised it."""
-
-    line: int | None = None
+    """A rule no presentation at hand holds, raised by
+    :meth:`Presentation.rule`.  :func:`parse_script` reports such a rule as
+    a :class:`ScriptSyntaxError` that names its line."""
 
     __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
 
@@ -550,8 +549,10 @@ def parse_script(text: str, presentation: Presentation, first_line: int = 1) -> 
     :class:`ProofStep`, shared by every line that repeats it: steps are
     immutable, and the step pattern and rule lookup run once per
     distinct text, not once per line.  Lines end only at a line feed, as a
-    certificate's do, and errors number them from ``first_line``, the
-    number of the text's first line in its file."""
+    certificate's do.  Every error is a :class:`ScriptSyntaxError`; one
+    about a line, a rule ``presentation`` lacks included, names it,
+    numbering lines from ``first_line``, the number of the text's first
+    line in its file."""
     start: Word | None = None
     end: Word | None = None
     steps: list[ProofStep] = []
@@ -593,8 +594,7 @@ def parse_script(text: str, presentation: Presentation, first_line: int = 1) -> 
                     try:
                         rule = presentation.rule(family, params)
                     except UnknownRule as exc:
-                        exc.line = lineno
-                        raise
+                        raise ScriptSyntaxError(f"line {lineno}: {exc}") from None
                     resolved[key] = (rule, Direction(direction))
                 step = shared[body] = ProofStep(*resolved[key], int(pos))
             steps.append(step)

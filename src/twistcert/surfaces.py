@@ -166,8 +166,6 @@ def classify(surface: SurfaceSpec, curve: CurveClass) -> CurveClass:
     if curve.complement_orientable is True:
         if surface.genus % 2 != 0:
             raise Unrealizable("an orientable complement forces even genus")
-        if surface.genus < 2:
-            raise Unrealizable("genus too small for a nonseparating curve")
         return curve
     if curve.complement_orientable is False:
         if surface.genus < 3:
@@ -180,14 +178,6 @@ def classify(surface: SurfaceSpec, curve: CurveClass) -> CurveClass:
         return replace(curve, complement_orientable=False)
     raise Unrealizable("ambiguous nonseparating class on even nonorientable genus: "
                        "say nonsep:oc or nonsep:nc")
-
-
-def side_can_host_torus(side: SideType) -> bool:
-    """Whether a one-boundary subsurface of this type contains the
-    three-holed torus with two of its boundary curves capped off."""
-    if side.orientable:
-        return side.genus >= 1
-    return side.genus >= 3
 
 
 @dataclass(frozen=True)
@@ -232,18 +222,12 @@ def select_case(surface: SurfaceSpec, curve: CurveClass, flavor: str) -> Theorem
             if surface.genus < 7:
                 raise OutOfScope("twist-subgroup certificates for a separating curve "
                                  "need genus >= 7")
-            assert curve.sides is not None
-            if not any(side_can_host_torus(host)
-                       and not other.orientable and other.genus >= 2
-                       for host, other in (curve.sides, curve.sides[::-1])):
-                raise OutOfScope("no side arrangement leaves a nonorientable genus >= 2 "
-                                 "piece away from the torus")
+            # every side pair classify accepts puts the torus on one side and a
+            # nonorientable genus >= 2 piece on the other
             return TheoremCase("T2-twist", "T2-separating", 7, "rh", surface, curve,
                                forced_rh=True)
         if curve.complement_orientable:
-            k, rem = divmod(surface.genus, 2)
-            k -= 3
-            assert rem == 0
+            k = surface.genus // 2 - 3  # classify made the genus even
             if surface.genus % 4 == 0 and surface.genus >= 8:
                 raise OutOfScope(
                     "orientable complement with genus 0 mod 4: the reflection has "

@@ -187,6 +187,15 @@ def test_verifier_reports_rather_than_raises_on_malformed_certificates():
     report = verify_certificate(bad)
     assert not report.ok and "unknown assignment" in report.message
 
+    # a separating case records no embedding, so the determinant of r is
+    # undefined and the membership recomputation raises
+    good = build_certificate(SurfaceSpec(False, 8), CurveClass.parse("sep:n2+n6"), 2,
+                             "twist-subgroup")
+    report = verify_certificate(replace(good, x=concat(good.x, word("r"))))
+    assert not report.ok and report.membership_ok is False
+    assert "membership check failed to run: no determinant value for generator 'r'" \
+        in report.message
+
 
 def test_verifier_checks_the_recorded_case_against_a_fresh_selection():
     good = build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup")

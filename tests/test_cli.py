@@ -159,6 +159,11 @@ def test_certify_empty_n_range_is_a_usage_error(capsys):
                             "--flavor", "extended", "--n-range=5..3")
     assert code == 2 and out == ""
     assert "'5..3' is empty" in err
+    # so is a range that does not parse
+    code, out, err = invoke(capsys, "certify", "--surface", "o:3", "--curve", "nonsep",
+                            "--flavor", "extended", "--n-range=a..3")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse range 'a..3'; expected a..b\n"
 
 
 def test_certify_respects_the_script_limit(capsys):
@@ -335,6 +340,8 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
      "line 26: BOGUS() is not in presentation 'every-rule'"),
     (_ONE_STEP, 26, lambda line: line.removeprefix("  step 3: "),
      "line 26: cannot parse 'FREE_RED(r) RL @ 13'"),
+    (_ONE_STEP, 26, lambda line: line.removesuffix("13"),
+     "line 26: cannot parse 'step 3: FREE_RED(r) RL @'"),
     (_ONE_STEP, 23, lambda line: line.replace("start: b ", "start: zz "),
      "line 23: unknown generator 'zz'"),
     (_ONE_STEP, 7, lambda line: "genus-bound: x",
@@ -345,8 +352,8 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
      "line 3: surface: cannot parse surface spec 'q:10'; expected o:<g> or n:<g>"),
     (_TWIST_OC, 19, lambda line: "membership-x: yes",
      "line 19: membership-x: invalid literal for int() with base 10: 'yes'"),
-], ids=["garbled-step", "unknown-rule", "unlabelled-step", "unknown-generator", "genus-bound",
-        "n", "surface", "membership-x"])
+], ids=["garbled-step", "unknown-rule", "unlabelled-step", "no-position", "unknown-generator",
+        "genus-bound", "n", "surface", "membership-x"])
 def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, source, number,
                                                              edit, message):
     bad = _edit_line(_certificate_text(*source), number, edit)
@@ -384,7 +391,7 @@ def _join_line_26_by_a_lone_cr(text):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda text: text.replace("\n", "\r\n"),
-     "line 22: expected 'script:', found 'script:\\r'"),
+     "line 1: expected 'twistcert-certificate: 1', found 'twistcert-certificate: 1\\r'"),
     (lambda text: _edit_line(text, 26, lambda line: line + "\r"),
      "line 26: expected '  step 3: FREE_RED(r) RL @ 13', found '  step 3: FREE_RED(r) RL @ 13\\r'"),
     (_join_line_26_by_a_lone_cr,

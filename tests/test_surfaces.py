@@ -35,6 +35,12 @@ def test_classify_examples():
     assert normalized.complement_orientable is True
     with pytest.raises(Unrealizable):
         classify(SurfaceSpec(True, 3), NONSEP_NC)
+    # a class that records the wrong data for its kind
+    with pytest.raises(Unrealizable, match="must record both side types"):
+        classify(SurfaceSpec(False, 7), CurveClass(separating=True))
+    with pytest.raises(Unrealizable, match="has no sides"):
+        classify(SurfaceSpec(False, 7), CurveClass(separating=False,
+                                                   sides=sep("n2", "n5").sides))
 
 
 def test_classify_is_idempotent():
@@ -162,13 +168,23 @@ def test_twist_subgroup_plain_rejections_are_not_conjectural():
 
 
 def test_twist_subgroup_exact_sweep():
-    """The flavour succeeds exactly on the three bullets."""
+    """The flavour succeeds exactly on the three bullets.  Every separating
+    spelling that classify accepts is admitted exactly at genus >= 7: its
+    sides always leave room for the torus beside a nonorientable piece of
+    genus >= 2, so the flavour needs no arrangement check of its own."""
+    accepted = 0
+    for g in range(1, 41):
+        surface = SurfaceSpec(False, g)
+        for curve in ([sep(f"n{i}", f"n{g - i}") for i in range(g + 1)]
+                      + [sep(f"o{i}", f"n{g - 2 * i}") for i in range(g // 2 + 1)]):
+            try:
+                classify(surface, curve)
+            except Unrealizable:
+                continue
+            accepted += 1
+            assert _admits(surface, curve) == (g >= 7)
+    assert accepted == 1064
     for g in range(2, 15):
-        # separating: a nonorientable piece of genus 2 plus the rest
-        if g >= 4:
-            curve = sep("n2", f"n{g - 2}")
-            ok = _admits(SurfaceSpec(False, g), curve)
-            assert ok == (g >= 7)
         if g % 2 == 0:
             assert _admits(SurfaceSpec(False, g), NONSEP_OC) == (g >= 6 and g % 4 == 2)
         if g >= 3:
