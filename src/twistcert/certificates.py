@@ -104,13 +104,12 @@ def _inverse(letters):
 
 
 # The two derivation chains ship as proof-script fixtures, their only source.
-# Chain A rewrites c1 c2 c3 through the star relation to the squared word
-# (b a2 a3 b a1 a2)^2, on a 3-letter window (grows to 12).
+# Chain A: c1 c2 c3, the boundary twists' product, through the star and braid
+# relations to the six-twist word squared, (b a2 a3 b a1 a2)^2; window 3 to 12.
 _CHAIN_A = parse_script(fixture_path("chain_a.proof").read_text(), torus_presentation())
+# Chain B: the reflection-conjugated block c3^-1 a3 a1 b a2 a3 b, by braid and
+# commutation moves to its a1-conjugate a1 (c3^-1 b a2 a3 b a1 a2) a1^-1; window 7 to 9.
 _CHAIN_B = parse_script(fixture_path("chain_b.proof").read_text(), torus_presentation())
-
-# c3^-1 a3 a1 b a2 a3 b rewritten to a1 (c3^-1 b a2 a3 b a1 a2) a1^-1,
-# on a 7-letter window (grows to 9)
 CHAIN_B_STEPS = _CHAIN_B.steps
 
 CHAIN_A_MIRROR = mirror_local_steps(_CHAIN_A.steps, len(_CHAIN_A.start))

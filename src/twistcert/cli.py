@@ -9,8 +9,8 @@ ordering; nothing here depends on time, locale or dict-iteration accidents.
 A certificate has one text: ``_header`` writes its header lines, and
 ``parse_certificate`` accepts a header only if ``_header`` of the
 certificate it parsed gives back the same bytes; its script section is
-read by ``presentation.parse_script_section``, which accepts only the
-text ``format_script_section`` writes.
+read by ``presentation.parse_script``, which accepts only the text
+``format_script_section`` writes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .presentation import (
     format_script,
     format_script_section,
     parse_script,
-    parse_script_section,
     verify_script,
 )
 from .surfaces import (
@@ -59,10 +58,9 @@ word grammar:   whitespace-separated tokens; token = name or name^-1 with
 script format:  line 1        start: <word>
                 per step      step <k>: <RULE>(<params>) <LR|RL> @ <position>
                 last line     end: <word>
-                '#' begins a comment; step labels count from 1.
-                A certificate carries these lines as format_script writes
-                them, each indented by two spaces: no comment, blank line
-                or other spelling.
+                step labels count from 1, as format_script writes them,
+                and a certificate indents each line by two spaces; no
+                comment, blank line or other spelling is read.
 """
 
 
@@ -138,7 +136,8 @@ def run(argv: list[str]) -> int:
 
 
 def _cmd_verify_script(args: argparse.Namespace) -> int:
-    script = parse_script(args.path.read_text(), PRESENTATIONS[args.rules])
+    # the exact text, as verify-cert reads it
+    script = parse_script(args.path.read_bytes().decode("utf-8"), PRESENTATIONS[args.rules])
     report = verify_script(script)
     print(f"start: {script.start}")
     print(f"steps: {len(script.steps)}")
@@ -299,13 +298,11 @@ def parse_certificate(text: str) -> Certificate:
     must be ``_KEYS`` in order, and ``_header`` of the
     parsed certificate must give back every header line byte for byte;
     otherwise ``CertificateSyntaxError`` names the first line that differs.
-    The script section is read by :func:`parse_script_section`, which
-    accepts only what :func:`format_script_section` writes: two-space
-    indented ``start:``, ``step k:`` and ``end:`` lines with no comment,
-    blank line or other spelling.  A line it cannot read, or the first
-    line that differs from the canonical text, is named by its line in
-    the certificate.  So a text parses only if it is
-    ``format_certificate`` of the certificate it parses to.
+    The script section is read by :func:`parse_script`, which accepts
+    only what :func:`format_script_section` writes and names any other
+    text's first line that differs by its line in the certificate.  So a
+    text parses only if it is ``format_certificate`` of the certificate it
+    parses to.
     """
     head, sep, script_text = text.partition("\nscript:\n")
     # the script: line closes the header, so a missing or an extra line shows there
@@ -352,7 +349,7 @@ def parse_certificate(text: str) -> Certificate:
     # which rules the flavour allows is for verify_certificate to decide;
     # the script's lines are numbered as lines of the certificate
     try:
-        script = parse_script_section(script_text, every_rule(), first_line=len(lines) + 1)
+        script = parse_script(script_text, every_rule(), first_line=len(lines) + 1, indent="  ")
     except ScriptSyntaxError as exc:
         raise CertificateSyntaxError(f"certificate {exc}") from None
     membership = None

@@ -31,11 +31,10 @@ implicit reduction.  Replay rewrites one list of letters in place with
 :func:`rewrite`, so a step costs its segment, not the whole word, and
 reads the rule's table and segment length without a method call.
 
-A script file is read by the lenient :func:`parse_script` (comments,
-blank lines, any indentation).  A certificate's script section is read
-by :func:`parse_script_section`, which accepts only the text
-:func:`format_script_section` writes, in whole-section passes that run
-in C, and resolves each distinct step text once.
+A script has one text, the one :func:`format_script` writes, and a
+certificate's script section is that text indented by two spaces.
+:func:`parse_script` reads both, in passes that run in C, and refuses
+any other text at its first line that differs.
 
 The bounded search :func:`equal_modulo_rules` works on words encoded as
 ``str``, one ASCII character per signed letter of ``GENERATORS`` (the
@@ -53,11 +52,10 @@ before it is returned.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import product, repeat, zip_longest
+from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -178,8 +176,8 @@ class PatternMismatch(Exception):
 
 class UnknownRule(KeyError):
     """A rule no presentation at hand holds, raised by
-    :meth:`Presentation.rule`.  :func:`parse_script` reports such a rule as
-    a :class:`ScriptSyntaxError` that names its line."""
+    :meth:`Presentation.rule`.  :func:`parse_script` reports a step naming
+    such a rule as a :class:`ScriptSyntaxError` that names its line."""
 
     __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
 
@@ -431,15 +429,12 @@ def every_rule() -> Presentation:
 
 # --- script text format ----------------------------------------------------
 #
-#   # comment
 #   start: <word>
 #   step <k>: <RULE>(<params>) <LR|RL> @ <position>
 #   end: <word>
 #
-# Step labels k count from 1 and must be consecutive.
-
-_STEP_LABEL_RE = re.compile(r"step (\d+)")
-_STEP_BODY_RE = re.compile(r"([A-Z_]+)\(([^)]*)\) (LR|RL) @ (\d+)")
+# Step labels count from 1, positions have no leading zero, words are
+# spelled as str spells them, and every line ends with a line feed.
 
 
 class ScriptSyntaxError(ValueError):
@@ -465,25 +460,18 @@ def format_script_section(script: ProofScript) -> str:
     return "  " + format_script(script)[:-1].replace("\n", "\n  ") + "\n"
 
 
-def parse_script_section(text: str, presentation: Presentation, first_line: int = 1
-                         ) -> ProofScript:
-    """Read a certificate's script section: exactly the text that
-    :func:`format_script_section` writes for some script, resolving rules
-    against ``presentation``.  Lines are numbered from ``first_line``.
-
-    A canonical section is read in bulk (see :func:`_read_section`).
-    Any other text is handed to :func:`parse_script`, whose error names
-    the line it cannot read; a text it does read is readable but not
-    canonical, and the error names the first line that differs from the
-    section of the script it read, with the expected and the found text."""
-    script = _read_section(text, presentation)
+def parse_script(text: str, presentation: Presentation, first_line: int = 1,
+                 indent: str = "") -> ProofScript:
+    """Read the one text :func:`format_script` writes for a script, each
+    line prefixed by ``indent`` (``"  "`` in a certificate's section),
+    resolving rules against ``presentation``.  Any other text is a
+    :class:`ScriptSyntaxError` naming its first line that is not
+    canonical, numbered from ``first_line``, the text's first line in
+    its file."""
+    script = _read_section(text, presentation, indent)
     if script is None:
-        script = parse_script(text, presentation, first_line)
-        expected = format_script_section(script).split("\n")
-        for number, (got, want) in enumerate(zip_longest(text.split("\n"), expected),
-                                             start=first_line):
-            if got != want:
-                raise ScriptSyntaxError(f"line {number}: expected {want!r}, found {got!r}")
+        i, message = _refusal(text, presentation, indent)
+        raise ScriptSyntaxError(f"line {first_line + i}: {message}")
     return script
 
 
@@ -491,27 +479,30 @@ def parse_script_section(text: str, presentation: Presentation, first_line: int 
 _CHUNK = 4096
 
 
-def _read_section(text: str, presentation: Presentation) -> ProofScript | None:
-    """The script of a canonical script section, or None for any other
-    text.  Every pass over the lines runs in C: one split, a
-    ``startswith`` check, ``removeprefix`` of each step label in place
-    (``_CHUNK`` lines at a time, so the bodies never exist beside the
-    whole list of lines), and one lookup per line of the step shared by
-    its distinct text.  A distinct text ``RULE(params) DIR @ pos`` is
-    resolved by one table lookup of its text up to the position, and
-    ``pos`` must be an ``int`` as ``str`` spells it.  A step line without
-    its own label keeps its ``"  step "`` start, which no rule text has."""
+def _read_section(text: str, presentation: Presentation, indent: str) -> ProofScript | None:
+    """The script of a canonical text, or None for any other text.  Every
+    pass over the lines runs in C: one split, a ``startswith`` check,
+    ``removeprefix`` of each step label in place (``_CHUNK`` lines at a
+    time, so the bodies never exist beside the whole list of lines), and
+    one lookup per line of the step shared by its distinct text.  A
+    distinct text ``RULE(params) DIR @ pos`` is resolved by one table
+    lookup of its text up to the position, and ``pos`` must be an ``int``
+    as ``str`` spells it.  A step line without its own label keeps its
+    ``"step "`` start, which no rule text has."""
     lines = text.split("\n")
-    if len(lines) < 3 or lines[-1]:
+    head, tail, step = indent + "start: ", indent + "end: ", indent + "step "
+    if len(lines) < 3 or lines[-1] or not (lines[0].startswith(head)
+                                           and lines[-2].startswith(tail)):
         return None
-    start = _spelled_line(lines[0], "  start: ")
-    end = _spelled_line(lines[-2], "  end: ")
+    start = spelled_word(lines[0][len(head):])
+    end = spelled_word(lines[-2][len(tail):])
     del lines[-2:], lines[0]
-    if start is None or end is None or not all(map(str.startswith, lines, repeat("  step "))):
+    if start is None or end is None or not all(map(str.startswith, lines, repeat(step))):
         return None
+    label = f"{step}%d: ".__mod__
     for i in range(0, len(lines), _CHUNK):
         lines[i:i + _CHUNK] = map(str.removeprefix, lines[i:i + _CHUNK],
-                                  map("  step %d: ".__mod__, range(i + 1, i + _CHUNK + 1)))
+                                  map(label, range(i + 1, i + _CHUNK + 1)))
     distinct = list(set(lines))
     texts = list(map(str.rstrip, distinct, repeat("0123456789")))
     named = list(map(presentation._step_texts.get, texts))
@@ -530,77 +521,50 @@ def _read_section(text: str, presentation: Presentation) -> ProofScript | None:
     return ProofScript(start, tuple(map(shared.__getitem__, lines)), end)
 
 
-def _spelled_line(line: str, prefix: str) -> Word | None:
-    """The word ``w`` of the line ``prefix + str(w)``, or None if ``line``
-    is no such line."""
-    return spelled_word(line[len(prefix):]) if line.startswith(prefix) else None
-
-
-def _line_word(text: str, lineno: int) -> Word:
-    try:
-        return word(text.strip())
-    except WordSyntaxError as exc:
-        raise ScriptSyntaxError(f"line {lineno}: {exc}") from None
-
-
-def parse_script(text: str, presentation: Presentation, first_line: int = 1) -> ProofScript:
-    """Parse the script text format, resolving rules against
-    ``presentation``.  Each distinct text after ``step <k>: `` becomes one
-    :class:`ProofStep`, shared by every line that repeats it: steps are
-    immutable, and the step pattern and rule lookup run once per
-    distinct text, not once per line.  Lines end only at a line feed, as a
-    certificate's do.  Every error is a :class:`ScriptSyntaxError`; one
-    about a line, a rule ``presentation`` lacks included, names it,
-    numbering lines from ``first_line``, the number of the text's first
-    line in its file."""
-    start: Word | None = None
-    end: Word | None = None
-    steps: list[ProofStep] = []
-    shared: dict[str, ProofStep] = {}
-    # each distinct "RULE(params) DIR" text is resolved once per script
-    resolved: dict[tuple[str, str, str], tuple[Rule, Direction]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=first_line):
-        line = raw.split("#", 1)[0].strip()
-        label, _, body = line.partition(": ")
-        step = shared.get(body)
-        k = len(steps) + 1
-        canonical = f"step {k}"
-        if step is not None and label == canonical:
-            steps.append(step)  # a step text seen before, under its own label
-        elif not line:
+def _refusal(text: str, presentation: Presentation, indent: str) -> tuple[int, str]:
+    """The index of the first line of a refused text that is not
+    canonical, and a message showing the line as found.  Where the
+    canonical line is known it is shown as expected: a word :func:`word`
+    reads, or a step text of ``presentation`` under another label or
+    position spelling.  An unreadable word gets the word grammar's
+    message, and a rule ``presentation`` lacks the :class:`UnknownRule` one."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        prefix = indent + ("end: " if i else "start: ")
+        if line.startswith(prefix):
+            try:
+                want = prefix + str(word(line[len(prefix):]))
+            except WordSyntaxError as exc:
+                return i, str(exc)
+            if i and i + 1 == len(lines):
+                want += "\n"  # the end line ends with a line feed
+            if line != want:
+                return i, f"expected {want!r}, found {line!r}"
+            if i:  # and nothing follows it
+                return i + 1, f"expected the end of the text, found {lines[i + 1]!r}"
             continue
-        elif line.startswith("start:"):
-            if start is not None:
-                raise ScriptSyntaxError(f"line {lineno}: duplicate start line")
-            start = _line_word(line[len("start:"):], lineno)
-        elif line.startswith("end:"):
-            if end is not None:
-                raise ScriptSyntaxError(f"line {lineno}: duplicate end line")
-            end = _line_word(line[len("end:"):], lineno)
-        else:
-            m = _STEP_BODY_RE.fullmatch(body) if step is None else None
-            if (step is None and m is None) or (
-                    label != canonical and _STEP_LABEL_RE.fullmatch(label) is None):
-                raise ScriptSyntaxError(f"line {lineno}: cannot parse {line!r}")
-            given = label[len("step "):]
-            if int(given) != k:  # "step 05" is step 5, as int() reads it
-                raise ScriptSyntaxError(f"line {lineno}: step label {given}, expected {k}")
-            if step is None:
-                family, params_text, direction, pos = m.groups()
-                key = (family, params_text, direction)
-                if key not in resolved:
-                    params = (tuple(p.strip() for p in params_text.split(","))
-                              if params_text.strip() else ())
-                    try:
-                        rule = presentation.rule(family, params)
-                    except UnknownRule as exc:
-                        raise ScriptSyntaxError(f"line {lineno}: {exc}") from None
-                    resolved[key] = (rule, Direction(direction))
-                step = shared[body] = ProofStep(*resolved[key], int(pos))
-            steps.append(step)
-    if start is None or end is None:
-        raise ScriptSyntaxError("script needs both a start and an end line")
-    return ProofScript(start, tuple(steps), end)
+        if not i:
+            return 0, f"cannot parse {line!r}"
+        if i + 1 == len(lines) and not line:
+            break  # the text ends with no end line
+        body = line.partition(": ")[2]
+        head = body.rstrip("0123456789")
+        if head != body and head in presentation._step_texts:
+            want = f"{indent}step {i}: {head}{body[len(head):].lstrip('0') or '0'}"
+            if line != want:
+                return i, f"expected {want!r}, found {line!r}"
+            continue
+        family, _, rest = head.partition("(")
+        params, _, direction = rest.partition(") ")
+        if (head != body and direction in ("LR @ ", "RL @ ")
+                and family.isidentifier() and family.isupper()):
+            try:  # head is no step text of presentation, so this raises
+                presentation.rule(family, tuple(params.split(",")) if params else ())
+            except UnknownRule as exc:
+                return i, str(exc)
+        return i, f"cannot parse {line!r}"
+    last = len(lines) - 1 if lines[-1] else len(lines) - 2
+    return last, f"expected an end line after {lines[last]!r}"
 
 
 # --- bounded bidirectional search -------------------------------------------

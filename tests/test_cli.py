@@ -10,7 +10,7 @@ from twistcert import fixture_path
 from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
 from twistcert import (build_certificate, CurveClass, Direction, ProofStep, SurfaceSpec,
                        torus_presentation)
-from twistcert.presentation import _read_section, every_rule, format_script, parse_script
+from twistcert.presentation import ScriptSyntaxError, every_rule, format_script, parse_script
 
 from test_certificates import recorded_determinant_certificate
 
@@ -335,13 +335,13 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
 
 
 @pytest.mark.parametrize("source, number, edit, message", [
-    (_ONE_STEP, 26, lambda line: "  step 3 garbage", "line 26: cannot parse 'step 3 garbage'"),
+    (_ONE_STEP, 26, lambda line: "  step 3 garbage", "line 26: cannot parse '  step 3 garbage'"),
     (_ONE_STEP, 26, lambda line: line.replace("FREE_RED(r)", "BOGUS()"),
      "line 26: BOGUS() is not in presentation 'every-rule'"),
     (_ONE_STEP, 26, lambda line: line.removeprefix("  step 3: "),
      "line 26: cannot parse 'FREE_RED(r) RL @ 13'"),
     (_ONE_STEP, 26, lambda line: line.removesuffix("13"),
-     "line 26: cannot parse 'step 3: FREE_RED(r) RL @'"),
+     "line 26: cannot parse '  step 3: FREE_RED(r) RL @ '"),
     (_ONE_STEP, 23, lambda line: line.replace("start: b ", "start: zz "),
      "line 23: unknown generator 'zz'"),
     (_ONE_STEP, 7, lambda line: "genus-bound: x",
@@ -369,11 +369,11 @@ def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, s
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
 def test_only_a_line_feed_ends_a_script_line(tmp_path, capsys, separator):
-    """A character that ``str.splitlines`` also breaks at does not shift
-    the line that an error names."""
-    text = _edit_line(_certificate_text(*_ONE_STEP), 30, lambda line: line + separator)
-    bad = _edit_line(text, 40, lambda line: "  step 17 garbage")
-    message = "certificate line 40: cannot parse 'step 17 garbage'"
+    """A character that ``str.splitlines`` also breaks at does not end a
+    line: the line it ends is named whole, not the line after it."""
+    bad = _edit_line(_certificate_text(*_ONE_STEP), 30, lambda line: line + separator)
+    line = "  step 7: CONJ_REFLECT(c2) LR @ 8" + separator
+    message = f"certificate line 30: cannot parse {line!r}"
     with pytest.raises(CertificateSyntaxError) as exc:
         parse_certificate(bad)
     assert str(exc.value) == message
@@ -393,9 +393,9 @@ def _join_line_26_by_a_lone_cr(text):
     (lambda text: text.replace("\n", "\r\n"),
      "line 1: expected 'twistcert-certificate: 1', found 'twistcert-certificate: 1\\r'"),
     (lambda text: _edit_line(text, 26, lambda line: line + "\r"),
-     "line 26: expected '  step 3: FREE_RED(r) RL @ 13', found '  step 3: FREE_RED(r) RL @ 13\\r'"),
+     "line 26: cannot parse '  step 3: FREE_RED(r) RL @ 13\\r'"),
     (_join_line_26_by_a_lone_cr,
-     "line 26: cannot parse 'step 3: FREE_RED(r) RL @ 13\\r  step 4: FREE_RED(r) RL @ 12'"),
+     "line 26: cannot parse '  step 3: FREE_RED(r) RL @ 13\\r  step 4: FREE_RED(r) RL @ 12'"),
 ], ids=["every-line", "one-line", "lone-cr"])
 def test_a_certificate_file_with_cr_line_ends_is_refused(tmp_path, capsys, edit, message):
     """verify-cert reads a file's exact text: a \\r, which
@@ -410,14 +410,17 @@ def test_a_certificate_file_with_cr_line_ends_is_refused(tmp_path, capsys, edit,
     assert code == 2 and out == "" and err == f"error: certificate {message}\n"
 
 
-def test_a_script_file_with_crlf_endings_verifies(tmp_path, capsys):
-    text = fixture_path("chain_a.proof").read_text()
-    crlf = text.replace("\n", "\r\n")
-    assert parse_script(crlf, every_rule()) == parse_script(text, every_rule())
+def test_a_script_file_with_crlf_endings_is_refused(tmp_path, capsys):
+    """verify-script reads a file's exact text, as verify-cert does."""
+    crlf = fixture_path("chain_a.proof").read_text().replace("\n", "\r\n")
+    message = "line 1: expected 'start: c1 c2 c3', found 'start: c1 c2 c3\\r'"
+    with pytest.raises(ScriptSyntaxError) as exc:
+        parse_script(crlf, every_rule())
+    assert str(exc.value) == message
     path = tmp_path / "crlf.proof"
     path.write_bytes(crlf.encode())
     code, out, err = invoke(capsys, "verify-script", str(path))
-    assert code == 0 and err == "" and "ok: end word reached: b a2 a3 b a1 a2 b a2" in out
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_a_section_cut_to_its_start_and_end_fails_verification(tmp_path, capsys):
@@ -443,20 +446,19 @@ _STEP_3 = "step 3: FREE_RED(r) RL @ 13"
     (45, lambda line: line.replace("@ 7", "@ 07"),
      "line 45: expected '  step 22: FREE_RED(a1^-1) LR @ 7', "
      "found '  step 22: FREE_RED(a1^-1) LR @ 07'"),
-    (26, lambda line: line + "  # comment",
-     f"line 26: expected '  {_STEP_3}', found '  {_STEP_3}  # comment'"),
-    (26, lambda line: line + "\n",
-     "line 27: expected '  step 4: FREE_RED(r) RL @ 12', found ''"),
+    (26, lambda line: line + "  # comment", f"line 26: cannot parse '  {_STEP_3}  # comment'"),
+    (26, lambda line: line + "\n", "line 27: cannot parse ''"),
     (70, lambda line: line.replace("end: c1", "end: ( c1 )^1"),
      "line 70: expected '  end: c1', found '  end: ( c1 )^1'"),
-    (71, lambda line: "  # the end", "line 71: expected '', found '  # the end'"),
-    (71, lambda line: "\n", "line 72: expected None, found ''"),
+    (71, lambda line: "  # the end",
+     "line 71: expected the end of the text, found '  # the end'"),
+    (71, lambda line: "\n", "line 71: expected the end of the text, found ''"),
 ], ids=["three-space-indent", "step-05", "position-07", "trailing-comment", "blank-line",
         "grouped-end-word", "comment-after-the-end", "blank-line-after-the-end"])
 def test_a_respelled_script_section_is_refused_at_its_line(tmp_path, capsys, number, edit,
                                                            message):
-    """The script section has one spelling; the same respelling of a
-    script file still verifies."""
+    """The script section has one spelling, as a script file has: the
+    same respelling of a script file is refused at the same line."""
     text = _certificate_text(*_ONE_STEP)
     bad = _edit_line(text, number, edit)
     assert bad != text
@@ -473,15 +475,21 @@ def test_a_respelled_script_section_is_refused_at_its_line(tmp_path, capsys, num
     path = tmp_path / "respelled.proof"
     path.write_text(_edit_line(script_text, number - 22, edit))
     code, out, err = invoke(capsys, "verify-script", str(path))
-    assert code == 0 and err == "" and "ok: end word reached: c1" in out
+    named = int(message.split(":")[0].removeprefix("line "))
+    assert code == 2 and out == "" and err.startswith(f"error: line {named - 22}: ")
 
 
 def test_an_unknown_rule_in_a_script_file_is_named_by_its_line(tmp_path, capsys):
     path = tmp_path / "bogus.proof"
+    path.write_text("start: b\nstep 1: BOGUS() LR @ 0\nend: b\n")
+    code, out, err = invoke(capsys, "verify-script", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: BOGUS() is not in presentation 'torus+h'\n"
+    # a comment line is not script text
     path.write_text("# one comment line\nstart: b\nstep 1: BOGUS() LR @ 0\nend: b\n")
     code, out, err = invoke(capsys, "verify-script", str(path))
     assert code == 2 and out == ""
-    assert err == "error: line 3: BOGUS() is not in presentation 'torus+h'\n"
+    assert err == "error: line 1: cannot parse '# one comment line'\n"
 
 
 def test_edited_certificates_verify_only_with_their_own_header():
@@ -530,13 +538,12 @@ def test_edited_certificates_verify_only_with_their_own_header():
 
 
 def _assert_read_as_a_script_file(text):
-    """The canonical reader gives the script that ``parse_script``, the
-    reader of script files, gives for the dedented section, and it reads
-    the section in bulk, without handing it to ``parse_script``."""
+    """The certificate's script is the one ``parse_script`` reads from its
+    section, and from the section dedented, as a script file."""
     section = text.partition("\nscript:\n")[2]
     script = parse_certificate(text).script
+    assert script == parse_script(section, every_rule(), indent="  ")
     assert script == parse_script(textwrap.dedent(section), every_rule())
-    assert _read_section(section, every_rule()) == script
 
 
 def test_every_sweep_certificate_round_trips():
@@ -585,7 +592,10 @@ def test_certificate_format_round_trip():
 
 
 def test_mutated_input_files_never_crash_the_cli(tmp_path, capsys):
-    """Deleting, duplicating or corrupting lines must give exit 1 or 2."""
+    """Deleting, duplicating or corrupting lines must give exit 1 or 2.
+    A script file has one grammar: it replays (exit 0 or 1) only if it is
+    the text ``format_script`` writes for the script it reads, and is
+    otherwise refused (exit 2) at one of its lines."""
     import random
 
     cert = build_certificate(SurfaceSpec(False, 6),
@@ -612,7 +622,15 @@ def test_mutated_input_files_never_crash_the_cli(tmp_path, capsys):
                     line = line[:pos] + rng.choice("xyz9@(^") + line[pos + 1:]
                 mutated[idx] = line
             path = tmp_path / f"{kind}_{trial}.txt"
-            path.write_text("\n".join(mutated) + "\n")
+            text = "\n".join(mutated) + "\n"
+            path.write_text(text)
             code = run([command, str(path)])
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in (0, 1, 2), (kind, trial, code)
+            if kind == "script" and code == 2:
+                words = err.split(" ")
+                assert words[:2] == ["error:", "line"] and words[2].endswith(":"), (trial, err)
+                assert 1 <= int(words[2][:-1]) <= len(mutated), (trial, err)
+            elif kind == "script":
+                script = parse_script(text, torus_presentation(with_h=True))
+                assert format_script(script) == text, trial

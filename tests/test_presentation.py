@@ -214,6 +214,10 @@ def test_wrong_end_word_is_reported_after_the_last_step():
 def test_script_text_round_trip():
     script = load_fixture("chain_a.proof")
     assert parse_script(format_script(script), TORUS) == script
+    # each fixture is the text format_script writes, byte for byte
+    for name in ("chain_a.proof", "chain_b.proof"):
+        data = fixture_path(name).read_bytes()
+        assert data == format_script(parse_script(data.decode(), TORUS)).encode()
 
 
 def test_script_parser_rejects_bad_labels():
@@ -228,7 +232,7 @@ SHARED_TEXT_SCRIPT = ["start: a1 a2", "step 1: COMMUTE(a1,a2) LR @ 0",
 
 
 def test_parsed_scripts_share_one_step_per_distinct_text():
-    script = parse_script("\n".join(SHARED_TEXT_SCRIPT), TORUS)
+    script = parse_script("\n".join(SHARED_TEXT_SCRIPT) + "\n", TORUS)
     assert script.steps == (step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS),
                             step("COMMUTE", ("a1", "a2"), "RL", 0, TORUS),
                             step("COMMUTE", ("a1", "a2"), "LR", 0, TORUS))
@@ -236,27 +240,30 @@ def test_parsed_scripts_share_one_step_per_distinct_text():
     assert verify_script(script).ok
 
 
-# Line 4 of SHARED_TEXT_SCRIPT replaced, and what the parser made of it
-# before parsed steps were shared: the steps, or the error message.
-_ALL_STEPS = ["COMMUTE(a1,a2) LR @ 0", "COMMUTE(a1,a2) RL @ 0", "COMMUTE(a1,a2) LR @ 0"]
+_STEP = "step 3: COMMUTE(a1,a2) LR @ 0"
 
 
+# Line 4 of SHARED_TEXT_SCRIPT replaced, and the error that names it.
 @pytest.mark.parametrize("line, expected", [
-    ("step 4: COMMUTE(a1,a2) LR @ 0", "line 4: step label 4, expected 3"),
-    ("step 4: COMMUTE(a1,a3) LR @ 0", "line 4: step label 4, expected 3"),
-    ("step 03: COMMUTE(a1,a2) LR @ 0", _ALL_STEPS),
-    ("step 02: COMMUTE(a1,a2) LR @ 0", "line 4: step label 02, expected 3"),
-    ("step 3: COMMUTE(a1,a2) LR @ 0  # again", _ALL_STEPS),
-    ("step 3: COMMUTE(a1,a2) LR @ 00", _ALL_STEPS),
-    ("step 3:  COMMUTE(a1,a2) LR @ 0",
-     "line 4: cannot parse 'step 3:  COMMUTE(a1,a2) LR @ 0'"),
-    ("step 3: COMMUTE(a1,a2)  LR @ 0",
-     "line 4: cannot parse 'step 3: COMMUTE(a1,a2)  LR @ 0'"),
+    ("step 4: COMMUTE(a1,a2) LR @ 0",
+     f"expected {_STEP!r}, found 'step 4: COMMUTE(a1,a2) LR @ 0'"),
+    ("step 4: COMMUTE(a1,a3) LR @ 0",
+     "expected 'step 3: COMMUTE(a1,a3) LR @ 0', found 'step 4: COMMUTE(a1,a3) LR @ 0'"),
+    ("step 03: COMMUTE(a1,a2) LR @ 0",
+     f"expected {_STEP!r}, found 'step 03: COMMUTE(a1,a2) LR @ 0'"),
+    ("step 02: COMMUTE(a1,a2) LR @ 0",
+     f"expected {_STEP!r}, found 'step 02: COMMUTE(a1,a2) LR @ 0'"),
+    ("step 3: COMMUTE(a1,a2) LR @ 0  # again",
+     "cannot parse 'step 3: COMMUTE(a1,a2) LR @ 0  # again'"),
+    ("step 3: COMMUTE(a1,a2) LR @ 00",
+     f"expected {_STEP!r}, found 'step 3: COMMUTE(a1,a2) LR @ 00'"),
+    ("step 3:  COMMUTE(a1,a2) LR @ 0", "cannot parse 'step 3:  COMMUTE(a1,a2) LR @ 0'"),
+    ("step 3: COMMUTE(a1,a2)  LR @ 0", "cannot parse 'step 3: COMMUTE(a1,a2)  LR @ 0'"),
     ("step  3: COMMUTE(a1,a2) LR @ 0",
-     "line 4: cannot parse 'step  3: COMMUTE(a1,a2) LR @ 0'"),
-    ("step 5: COMMUTE(a1,a1) LR @ 0", "line 4: step label 5, expected 3"),
-    ("step 3: COMMUTE(a1,a1) LR @ 0", "line 4: COMMUTE(a1,a1) is not in presentation 'torus'"),
-    ("step 5: nonsense", "line 4: cannot parse 'step 5: nonsense'"),
+     f"expected {_STEP!r}, found 'step  3: COMMUTE(a1,a2) LR @ 0'"),
+    ("step 5: COMMUTE(a1,a1) LR @ 0", "COMMUTE(a1,a1) is not in presentation 'torus'"),
+    ("step 3: COMMUTE(a1,a1) LR @ 0", "COMMUTE(a1,a1) is not in presentation 'torus'"),
+    ("step 5: nonsense", "cannot parse 'step 5: nonsense'"),
 ], ids=["repeat-wrong-label", "new-wrong-label", "leading-zero", "leading-zero-wrong",
         "trailing-comment", "position-00", "double-space-after-colon",
         "double-space-before-direction", "double-space-in-label", "unknown-rule-wrong-label",
@@ -264,13 +271,23 @@ _ALL_STEPS = ["COMMUTE(a1,a2) LR @ 0", "COMMUTE(a1,a2) RL @ 0", "COMMUTE(a1,a2) 
 def test_shared_step_parse_keeps_every_step_and_error(line, expected):
     lines = list(SHARED_TEXT_SCRIPT)
     lines[3] = line
-    text = "\n".join(lines)
-    if isinstance(expected, list):
-        assert [s.render() for s in parse_script(text, TORUS).steps] == expected
-    else:
-        with pytest.raises(ScriptSyntaxError) as info:
-            parse_script(text, TORUS)
-        assert str(info.value) == expected
+    with pytest.raises(ScriptSyntaxError) as info:
+        parse_script("\n".join(lines) + "\n", TORUS)
+    assert str(info.value) == f"line 4: {expected}"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("start: b\nend: b", "line 2: expected 'end: b\\n', found 'end: b'"),
+    ("start: b\nstep 1: FREE_RED(b) RL @ 1\n",
+     "line 2: expected an end line after 'step 1: FREE_RED(b) RL @ 1'"),
+    ("start: b", "line 1: expected an end line after 'start: b'"),
+    ("start: b\nend: b\nend: b\n", "line 3: expected the end of the text, found 'end: b'"),
+    ("", "line 1: cannot parse ''"),
+], ids=["no-final-line-feed", "no-end-line", "start-line-only", "second-end-line", "empty"])
+def test_a_script_text_ends_with_its_end_line_and_line_feed(text, expected):
+    with pytest.raises(ScriptSyntaxError) as info:
+        parse_script(text, TORUS)
+    assert str(info.value) == expected
 
 
 def test_inverted_script_replays_backwards():
