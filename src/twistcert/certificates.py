@@ -120,27 +120,33 @@ class ScriptBuilder:
     """Accumulates proof steps while applying them to a live word, so every
     emitted position is checked against the actual current word.  The word
     is one list of letters that each step rewrites in place; a step that
-    does not fit raises and leaves it unchanged."""
+    does not fit raises and leaves it unchanged.  As in a parsed script,
+    each distinct step is one object, kept in ``shared`` and made in C."""
 
     def __init__(self, start: Word, presentation: Presentation):
         self.presentation = presentation
         self.start = start
         self.letters = list(start.letters)
         self._steps: list[ProofStep] = []
+        self.shared: dict[ProofStep, ProofStep] = {}
 
     def word(self) -> Word:
         return Word(tuple(self.letters))
 
     def apply(self, family: str, params: tuple[str, ...], direction: Direction,
               position: int) -> None:
-        step = ProofStep(self.presentation.rule(family, params), direction, position)
+        step = tuple.__new__(ProofStep, (self.presentation.rule(family, params), direction,
+                                         position))
+        step = self.shared.setdefault(step, step)
         rewrite(self.letters, step)
         self._steps.append(step)
 
     def apply_steps(self, steps: Iterable[ProofStep], offset: int = 0) -> None:
+        new, share, letters = tuple.__new__, self.shared.setdefault, self.letters
         for rule, direction, position in steps:
-            step = ProofStep(rule, direction, position + offset)
-            rewrite(self.letters, step)
+            step = new(ProofStep, (rule, direction, position + offset))
+            step = share(step, step)
+            rewrite(letters, step)
             self._steps.append(step)
 
     def apply_inverted(self, script: ProofScript) -> None:
@@ -152,14 +158,12 @@ class ScriptBuilder:
             raise AssertionError(f"script builder is at {self.word()}, "
                                  f"not at the end {script.end} of the inverted script")
         flipped = {Direction.LR: Direction.RL, Direction.RL: Direction.LR}
-        self._steps.extend([ProofStep(rule, flipped[direction], position)
-                            for rule, direction, position in reversed(script.steps)])
+        new, share, inverse = tuple.__new__, self.shared.setdefault, dict.fromkeys(script.steps)
+        for key in inverse:
+            step = new(ProofStep, (key.rule, flipped[key.direction], key.position))
+            inverse[key] = share(step, step)
+        self._steps += map(inverse.__getitem__, reversed(script.steps))
         self.letters = list(script.start.letters)
-
-    def record(self, steps: Iterable[ProofStep]) -> None:
-        """Append steps that the caller has checked and already made on
-        ``letters``."""
-        self._steps.extend(steps)
 
     def finish(self, end: Word) -> ProofScript:
         if self.word() != end:
@@ -174,19 +178,18 @@ def _central_rearrange(builder: ScriptBuilder, target: Sequence) -> None:
     on the relative order of their non-central letters.
 
     Each letter that is out of place moves left to its target position in
-    one slice assignment.  Before the move, every adjacent swap it stands
-    for is checked, one by one, as ``ScriptBuilder.apply`` would check it:
-    its CENTRAL rule must be in the builder's presentation and rewrite the
-    swapped pair into the pair reversed.  A swap that fails raises what
-    ``apply`` raises, with the word as it stood before that letter's move.
+    one slice assignment.  Each distinct swap, a (left, mover) pair, is
+    checked where it first occurs, as ``ScriptBuilder.apply`` would: its
+    CENTRAL rule must be in the builder's presentation and rewrite the
+    pair into the pair reversed.  A swap that fails raises what ``apply``
+    raises, with the word as it stood before that letter's move.
     """
     letters = builder.letters
     target = list(target)
     if sorted(letters) != sorted(target):
         raise AssertionError("rearrangement target is not a permutation of the word")
-    # per (left, mover) pair, looked up once per call: the swap's rule,
-    # direction and rewrite table, and the pair swapped
-    swaps: dict[tuple, tuple] = {}
+    swaps: dict[tuple, tuple] = {}  # (left, mover) -> the swap's (rule, direction)
+    new, share = tuple.__new__, builder.shared.setdefault
     for i, mover in enumerate(target):
         if letters[i] == mover:
             continue
@@ -196,14 +199,15 @@ def _central_rearrange(builder: ScriptBuilder, target: Sequence) -> None:
             pair = (letters[pos], mover)
             swap = swaps.get(pair)
             if swap is None:
-                swap = swaps[pair] = _central_swap(builder.presentation, *pair)
-            rule, direction, table, swapped = swap
-            if table.get(pair) != swapped:
-                raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
-                                      f"{pair[0]} {mover}")
-            moved.append(ProofStep(rule, direction, pos))
+                rule, direction, table, swapped = _central_swap(builder.presentation, *pair)
+                if table.get(pair) != swapped:
+                    raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
+                                          f"{pair[0]} {mover}")
+                swap = swaps[pair] = (rule, direction)
+            step = new(ProofStep, (*swap, pos))
+            moved.append(share(step, step))
         letters[i:j + 1] = [mover, *letters[i:j]]
-        builder.record(moved)
+        builder._steps += moved
 
 
 def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> tuple:
@@ -550,14 +554,12 @@ def _case_problems(cert: Certificate) -> list[str]:
 def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int | None:
     """1-based index of the first step whose rule is not in
     ``presentation``, or None."""
-    steps = script.steps
     # scripts share a few hundred rule objects: test each distinct one once
-    rules = list(map(attrgetter("rule"), steps))
-    distinct = dict(zip(map(id, rules), rules))
-    foreign = {key for key, rule in distinct.items() if rule not in presentation}
+    foreign = {rule for rule in set(map(attrgetter("rule"), script.steps))
+               if rule not in presentation}
     if not foreign:
         return None
-    return next(i for i, step in enumerate(steps, start=1) if id(step.rule) in foreign)
+    return next(i for i, step in enumerate(script.steps, start=1) if step.rule in foreign)
 
 
 def _claim_problems(cert: Certificate, claim: Claim) -> list[str]:
@@ -567,9 +569,13 @@ def _claim_problems(cert: Certificate, claim: Claim) -> list[str]:
     for name, base, k in (("target", claim.target_base, cert.n),
                           ("x", claim.x_base, cert.n), ("y", claim.y, 1)):
         found = getattr(cert, name)
-        # the bases are cyclically reduced, so base^k has |k| len(base)
-        # letters; comparing lengths first never expands an outside n
-        # beyond the size of the recorded word
-        if len(found) != abs(k) * len(base) or found != power(base, k):
+        # lengths first, so an outside n is never expanded past the recorded word
+        if len(found) != abs(k) * len(base) or found.letters != _repeated(base, k):
             problems.append(f"{name} is not the word that n = {cert.n} and the case require")
     return problems
+
+
+def _repeated(base: Word, k: int) -> tuple[Letter, ...]:
+    """power(base, k)'s letters for a claim row's cyclically reduced word,
+    with no r where k < 0: base's, inverted when k < 0, |k| times."""
+    return (base.letters if k >= 0 else _inverse(base.letters)) * abs(k)

@@ -10,7 +10,7 @@ A certificate has one text: ``_header`` writes its header lines, and
 ``parse_certificate`` accepts a header only if ``_header`` of the
 certificate it parsed gives back the same bytes; its script section is
 read by ``presentation.parse_script``, which accepts only the text
-``format_script_section`` writes.
+``presentation.format_script`` writes with the indent ``"  "``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .presentation import (
     ScriptSyntaxError,
     every_rule,
     format_script,
-    format_script_section,
     parse_script,
     verify_script,
 )
@@ -274,7 +273,7 @@ def _header(cert: Certificate) -> list[str]:
 def format_certificate(cert: Certificate) -> str:
     """Serialise a certificate: the ``_header`` lines, a ``script:`` line,
     and the proof script with each line indented by two spaces."""
-    return "\n".join(_header(cert)) + "\nscript:\n" + format_script_section(cert.script)
+    return "\n".join([*_header(cert), "script:", format_script(cert.script, "  ")])
 
 
 class CertificateSyntaxError(ValueError):
@@ -299,10 +298,10 @@ def parse_certificate(text: str) -> Certificate:
     parsed certificate must give back every header line byte for byte;
     otherwise ``CertificateSyntaxError`` names the first line that differs.
     The script section is read by :func:`parse_script`, which accepts
-    only what :func:`format_script_section` writes and names any other
-    text's first line that differs by its line in the certificate.  So a
-    text parses only if it is ``format_certificate`` of the certificate it
-    parses to.
+    only what :func:`format_script` writes with the indent ``"  "`` and
+    names any other text's first line that differs by its line in the
+    certificate.  So a text parses only if it is ``format_certificate`` of
+    the certificate it parses to.
     """
     head, sep, script_text = text.partition("\nscript:\n")
     # the script: line closes the header, so a missing or an extra line shows there

@@ -31,10 +31,11 @@ implicit reduction.  Replay rewrites one list of letters in place with
 :func:`rewrite`, so a step costs its segment, not the whole word, and
 reads the rule's table and segment length without a method call.
 
-A script has one text, the one :func:`format_script` writes, and a
-certificate's script section is that text indented by two spaces.
+A script has one text, and a certificate's script section is that text
+indented by two spaces: :func:`format_script` writes both, and
 :func:`parse_script` reads both, in passes that run in C, and refuses
-any other text at its first line that differs.
+any other text at its first line that differs.  Both work ``_CHUNK``
+lines at a time, so neither makes a list of every line.
 
 The bounded search :func:`equal_modulo_rules` works on words encoded as
 ``str``, one ASCII character per signed letter of ``GENERATORS`` (the
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import count, product, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -182,20 +183,21 @@ class UnknownRule(KeyError):
     __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
-    """One parametric rule instance, e.g. COMMUTE(a1,a2) or FREE_RED(a1^-1)."""
+    """One parametric rule instance, e.g. COMMUTE(a1,a2) or FREE_RED(a1^-1),
+    compiled once (``_RULES``): a rule equals only itself, hashed in C."""
 
     family: str
     params: tuple[str, ...] = ()
     # every segment the rule rewrites, mapped to its replacement, and the
     # length of those segments, per direction
-    _lr: dict = field(init=False, repr=False, compare=False)
-    _rl: dict = field(init=False, repr=False, compare=False)
-    _lr_len: int = field(init=False, repr=False, compare=False)
-    _rl_len: int = field(init=False, repr=False, compare=False)
+    _lr: dict = field(init=False, repr=False)
+    _rl: dict = field(init=False, repr=False)
+    _lr_len: int = field(init=False, repr=False)
+    _rl_len: int = field(init=False, repr=False)
     # "FAMILY(params) DIR @ ", a step line up to its position, per direction
-    _texts: dict = field(init=False, repr=False, compare=False)
+    _texts: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.family, self.params) not in _RULE_KEYS:
@@ -243,8 +245,8 @@ class Rule:
 
 class ProofStep(NamedTuple):
     """One rewrite: ``rule`` in ``direction`` at ``position``.  Steps are
-    immutable values, so equal steps may be one shared object: a parsed
-    script holds one object per distinct step text."""
+    immutable values, so equal steps may be one shared object: a built or
+    parsed script holds one object per distinct step."""
 
     rule: Rule
     direction: Direction
@@ -446,18 +448,22 @@ def fixture_path(name: str):
     return Path(__file__).parent / "fixtures" / name
 
 
-def format_script(script: ProofScript) -> str:
-    lines = [f"start: {script.start}"]
-    lines += [f"step {i}: {rule._texts[direction]}{position}"
-              for i, (rule, direction, position) in enumerate(script.steps, start=1)]
-    lines.append(f"end: {script.end}")
-    return "\n".join(lines) + "\n"
+#: Script lines are written and read this many at a time.
+_CHUNK = 4096
 
 
-def format_script_section(script: ProofScript) -> str:
-    """The script section of a certificate: the lines of
-    :func:`format_script`, each indented by two spaces."""
-    return "  " + format_script(script)[:-1].replace("\n", "\n  ") + "\n"
+def format_script(script: ProofScript, indent: str = "") -> str:
+    """The one text of a script, each line prefixed by ``indent`` (``"  "``
+    in a certificate's section).  Step lines are made and joined
+    ``_CHUNK`` at a time, so no list of every line is made and the text
+    is copied once, by the last join."""
+    steps = script.steps
+    parts = [f"{indent}start: {script.start}"]
+    for i in range(0, len(steps), _CHUNK):
+        parts.append("\n".join([f"{indent}step {k}: {rule._texts[d]}{p}" for k, (rule, d, p)
+                                in enumerate(steps[i:i + _CHUNK], start=i + 1)]))
+    parts.append(f"{indent}end: {script.end}\n")
+    return "\n".join(parts)
 
 
 def parse_script(text: str, presentation: Presentation, first_line: int = 1,
@@ -475,50 +481,55 @@ def parse_script(text: str, presentation: Presentation, first_line: int = 1,
     return script
 
 
-#: Step lines are read in place this many at a time.
-_CHUNK = 4096
-
-
 def _read_section(text: str, presentation: Presentation, indent: str) -> ProofScript | None:
-    """The script of a canonical text, or None for any other text.  Every
-    pass over the lines runs in C: one split, a ``startswith`` check,
-    ``removeprefix`` of each step label in place (``_CHUNK`` lines at a
-    time, so the bodies never exist beside the whole list of lines), and
-    one lookup per line of the step shared by its distinct text.  A
-    distinct text ``RULE(params) DIR @ pos`` is resolved by one table
+    """The script of a canonical text, or None for any other text.  Step
+    lines are read in windows of about ``_CHUNK`` lines, cut at a line
+    feed: only the table from each distinct step text to its step and the
+    list of steps grow with the step count.  Every pass over a window runs
+    in C: one split, a ``startswith`` check, ``removeprefix`` of each
+    label, and one lookup per line of the step shared by its text.  A
+    new distinct text ``RULE(params) DIR @ pos`` is resolved by one table
     lookup of its text up to the position, and ``pos`` must be an ``int``
     as ``str`` spells it.  A step line without its own label keeps its
     ``"step "`` start, which no rule text has."""
-    lines = text.split("\n")
+    first = text.find("\n") + 1  # where the step lines start
+    last = text.rfind("\n", 0, -1) + 1  # where the end line starts
     head, tail, step = indent + "start: ", indent + "end: ", indent + "step "
-    if len(lines) < 3 or lines[-1] or not (lines[0].startswith(head)
-                                           and lines[-2].startswith(tail)):
+    if not (0 < first <= last and text.endswith("\n") and text.startswith(head)
+            and text.startswith(tail, last)):
         return None
-    start = spelled_word(lines[0][len(head):])
-    end = spelled_word(lines[-2][len(tail):])
-    del lines[-2:], lines[0]
-    if start is None or end is None or not all(map(str.startswith, lines, repeat(step))):
+    start = spelled_word(text[len(head):first - 1])
+    end = spelled_word(text[last + len(tail):-1])
+    if start is None or end is None:
         return None
     label = f"{step}%d: ".__mod__
-    for i in range(0, len(lines), _CHUNK):
-        lines[i:i + _CHUNK] = map(str.removeprefix, lines[i:i + _CHUNK],
-                                  map(label, range(i + 1, i + _CHUNK + 1)))
-    distinct = list(set(lines))
-    texts = list(map(str.rstrip, distinct, repeat("0123456789")))
-    named = list(map(presentation._step_texts.get, texts))
-    if None in named:
-        return None
-    digits = list(map(str.removeprefix, distinct, texts))
-    try:
-        positions = list(map(int, digits))
-    except ValueError:  # no digits
-        return None
-    if list(map(str, positions)) != digits:  # a leading zero
-        return None
-    # ProofStep(rule, direction, position) of each distinct text, made in C
-    steps = map(tuple.__new__, repeat(ProofStep), map(tuple.__add__, named, zip(positions)))
-    shared = dict(zip(distinct, steps))
-    return ProofScript(start, tuple(map(shared.__getitem__, lines)), end)
+    shared: dict[str, ProofStep] = {}
+    steps: list[ProofStep] = []
+    width = _CHUNK * (text.find("\n", first) + 1 - first)  # chars of about _CHUNK lines
+    while first < last:
+        cut = text.rfind("\n", first, min(first + width, last)) + 1 or text.find("\n", first) + 1
+        lines = text[first:cut - 1].split("\n")
+        first = cut
+        if not all(map(str.startswith, lines, repeat(step))):
+            return None
+        lines = list(map(str.removeprefix, lines, map(label, count(len(steps) + 1))))
+        distinct = list(set(lines).difference(shared))
+        texts = list(map(str.rstrip, distinct, repeat("0123456789")))
+        named = list(map(presentation._step_texts.get, texts))
+        if None in named:
+            return None
+        digits = list(map(str.removeprefix, distinct, texts))
+        try:
+            positions = list(map(int, digits))
+        except ValueError:  # no digits
+            return None
+        if list(map(str, positions)) != digits:  # a leading zero
+            return None
+        # ProofStep(rule, direction, position) of each new distinct text, made in C
+        shared.update(zip(distinct, map(tuple.__new__, repeat(ProofStep),
+                                        map(tuple.__add__, named, zip(positions)))))
+        steps += map(shared.__getitem__, lines)
+    return ProofScript(start, tuple(steps), end)
 
 
 def _refusal(text: str, presentation: Presentation, indent: str) -> tuple[int, str]:

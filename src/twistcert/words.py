@@ -126,9 +126,13 @@ def spelled_word(text: str) -> Word | None:
 
 
 def word(text: str) -> Word:
-    """Parse the word grammar.  Unknown generator names are rejected."""
+    """Parse the word grammar.  Unknown generator names are rejected, and
+    so are groups nested deeper than the parser's recursion reaches."""
     tokens = text.split()
-    return Word(tuple(_parse_tokens(tokens, 0, len(tokens), [MAX_EXPANDED_LETTERS])))
+    try:
+        return Word(tuple(_parse_tokens(tokens, 0, len(tokens), [MAX_EXPANDED_LETTERS])))
+    except RecursionError:
+        raise WordSyntaxError("groups are nested too deeply") from None
 
 
 def _parse_tokens(tokens: list[str], lo: int, hi: int, budget: list[int]) -> list[Letter]:

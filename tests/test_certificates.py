@@ -21,6 +21,7 @@ from twistcert import (
     concat,
     conjugate,
     evaluate_rep,
+    free_reduce,
     genus3_assignment,
     power,
     torus_presentation,
@@ -30,9 +31,11 @@ from twistcert import (
 )
 from twistcert import certificates
 from twistcert.certificates import (CLAIMS, Claim, MembershipRecord, P_WORD, Q_WORD,
-                                    ScriptBuilder, _central_rearrange, _row_homology_ok)
+                                    ScriptBuilder, _central_rearrange, _repeated,
+                                    _row_homology_ok)
 from twistcert.homology import ASSIGNMENTS
-from twistcert.presentation import PRESENTATIONS, PatternMismatch, UnknownRule
+from twistcert.presentation import (PRESENTATIONS, PatternMismatch, UnknownRule, every_rule,
+                                    format_script, parse_script)
 from twistcert.cli import format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
@@ -482,6 +485,19 @@ def test_a_huge_edited_n_fails_before_any_squaring():
     assert f"x is not the word that n = {10 ** 4000} and the case require" in report.message
 
 
+@pytest.mark.parametrize("y_choice", sorted(CLAIMS))
+def test_claim_words_are_their_base_letters_repeated(y_choice):
+    """The verifier compares target and x with the letters of their base,
+    inverted for negative n, repeated |n| times: that is the base's power
+    because every base is cyclically reduced and holds no r."""
+    claim = CLAIMS[y_choice]
+    for base in (claim.target_base, claim.x_base):
+        assert free_reduce(concat(base, base)) == concat(base, base)
+        for k in range(-3, 4):
+            assert _repeated(base, k) == power(base, k).letters, (base, k)
+    assert _repeated(claim.y, 1) == power(claim.y, 1).letters
+
+
 def test_twist_certificates_never_carry_odd_determinants():
     certs = [
         build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup"),
@@ -594,3 +610,51 @@ def test_central_rearrange_checks_each_swap_against_its_rule_table(monkeypatch):
         _central_rearrange(builder, word("c1 a1 b").letters)
     assert str(info.value) == "expected CENTRAL(c1,b) LR at position 1, found b c1"
     assert builder.finish(word("a1 b c1")).steps == ()
+
+
+# --- memory shape ----------------------------------------------------------------
+#
+# A script's memory grows with its distinct steps and its text: a built
+# script, as a parsed one, holds one object per distinct step, and the text
+# is written and read without a list of every line.
+
+
+_FLAVOUR_REQUESTS = [(O3, NONSEP, "extended-group"), (N7, SEP_N2_N5, "twist-subgroup"),
+                     (SurfaceSpec(False, 8), NONSEP_NC, "twist-subgroup"),
+                     (SurfaceSpec(True, 1), NONSEP, "even-power-extended"),
+                     (N7, NONSEP_NC, "even-power-twist")]
+
+
+@pytest.mark.parametrize("surface, curve, flavor, n", [
+    *((surface, curve, flavor, n) for surface, curve, flavor in _FLAVOUR_REQUESTS
+      for n in (-9, 8)),
+    (O3, NONSEP, "extended-group", 64),
+])
+def test_built_and_parsed_scripts_hold_one_object_per_distinct_step(surface, curve, flavor, n):
+    script = build_certificate(surface, curve, n, flavor).script
+    parsed = parse_script(format_script(script), every_rule())
+    assert parsed == script
+    for steps in (script.steps, parsed.steps):
+        assert len({id(step) for step in steps}) == len(set(steps))
+    if n == 64:
+        assert len(set(script.steps)) == 9396 and len(script.steps) == 28396
+
+
+def test_format_and_parse_peaks_are_a_few_times_the_text():
+    """Traced allocations at n = 64: format_script peaks at most 2.5 times
+    the text's length, and parse_script at most 3 times."""
+    import tracemalloc
+
+    script = build_certificate(O3, NONSEP, 64, "extended-group").script
+    tracemalloc.start()
+    try:
+        text = format_script(script)
+        format_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        parse_script(text, every_rule())
+        parse_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert format_peak <= 2.5 * len(text), format_peak / len(text)
+    assert parse_peak <= 3 * len(text), parse_peak / len(text)

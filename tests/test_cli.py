@@ -220,6 +220,24 @@ def test_malformed_word_never_raises(capsys):
     assert code == 2 and "error" in err
 
 
+_DEEP_WORD = "( " * 3000 + "b" + " )^1" * 3000
+
+
+def test_a_word_nested_too_deeply_is_refused_at_its_line(tmp_path, capsys):
+    script = tmp_path / "deep.proof"
+    script.write_text(f"start: {_DEEP_WORD}\nend: b\n")
+    code, out, err = invoke(capsys, "verify-script", str(script))
+    assert (code, out, err) == (2, "", "error: line 1: groups are nested too deeply\n")
+    code, out, err = invoke(capsys, "rep-check", "--word", _DEEP_WORD)
+    assert (code, out, err) == (2, "", "error: groups are nested too deeply\n")
+    cert = build_certificate(SurfaceSpec(True, 3), CurveClass.parse("nonsep"), 1, "extended-group")
+    path = tmp_path / "deep.txt"
+    path.write_text(format_certificate(cert).replace(f"\nx: {cert.x}\n", f"\nx: {_DEEP_WORD}\n"))
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: certificate line 15: x: groups are nested too deeply\n"
+
+
 def test_tampered_certificate_fails_verification(tmp_path, capsys):
     cert = build_certificate(SurfaceSpec(False, 6),
                              CurveClass.parse("nonsep:oc"), 2, "twist-subgroup")

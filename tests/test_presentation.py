@@ -290,6 +290,54 @@ def test_a_script_text_ends_with_its_end_line_and_line_feed(text, expected):
     assert str(info.value) == expected
 
 
+# --- scripts read and written in windows ---------------------------------------
+#
+# format_script and parse_script work _CHUNK lines at a time; rel1 at n = 48
+# has three windows of steps and a partial fourth.
+
+
+def _long_script_lines():
+    script = build_rel1(48).script
+    assert len(script.steps) > 3 * presentation._CHUNK
+    return script, format_script(script).split("\n")
+
+
+def test_a_long_script_is_written_and_read_in_windows():
+    script, lines = _long_script_lines()
+    text = "\n".join(lines)
+    assert text == "\n".join([f"start: {script.start}",
+                              *(f"step {i}: {s.render()}" for i, s in enumerate(script.steps, 1)),
+                              f"end: {script.end}", ""])
+    assert parse_script(text, TORUS) == script
+    assert format_script(script, "  ") == "".join(f"  {line}\n" for line in lines[:-1])
+    assert parse_script(format_script(script, "  "), TORUS, indent="  ") == script
+
+
+_W = presentation._CHUNK
+
+
+@pytest.mark.parametrize("number", [2, _W, _W + 1, _W + 2, 2 * _W + 1, 3 * _W + 7, -3],
+                         ids=lambda number: f"line{number}")
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.replace(" @ ", " @ 0"), "expected {want!r}, found {found!r}"),
+    (lambda line: line.replace(": ", ":  ", 1), "cannot parse {found!r}"),
+    (lambda line: line.replace("step", "Step"), "expected {want!r}, found {found!r}"),
+    (lambda line: line + "x" * 10 ** 6, "cannot parse {found!r}"),
+    (lambda line: line.replace("(", "(zz,", 1), "{rule} is not in presentation 'torus'"),
+], ids=["leading-zero", "double-space", "capital", "a-million-letters", "unknown-rule"])
+def test_a_long_script_is_refused_at_its_line_in_any_window(number, edit, message):
+    script, lines = _long_script_lines()
+    if number < 0:  # counted back from the end line
+        number += len(lines)
+    want = lines[number - 1]
+    lines[number - 1] = found = edit(want)
+    rule = found.partition(": ")[2].partition(")")[0] + ")"
+    with pytest.raises(ScriptSyntaxError) as info:
+        parse_script("\n".join(lines), TORUS)
+    assert str(info.value) == f"line {number}: " + message.format(want=want, found=found,
+                                                                    rule=rule)
+
+
 def test_inverted_script_replays_backwards():
     script = load_fixture("chain_a.proof")
     assert verify_script(script.inverted()).ok

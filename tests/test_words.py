@@ -181,6 +181,15 @@ def test_group_expansions_share_one_budget(text):
     assert time.perf_counter() - start < 5
 
 
+def test_groups_nested_too_deeply_are_refused():
+    # 3,000 nested groups would exhaust the parser's recursion
+    assert word("( " * 50 + "b" + " )^1" * 50) == word("b")
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError, match="^groups are nested too deeply$"):
+        word("( " * 3000 + "b" + " )^1" * 3000)
+    assert time.perf_counter() - start < 5
+
+
 # --- what each generator is, pinned across every layer that asks: parsing,
 # --- free reduction, the determinant homomorphism and the FREE_RED rules
 
