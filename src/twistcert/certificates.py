@@ -39,17 +39,18 @@ n, that is, once the certificate states the row's claim.
 All scripts are generated for the concrete exponent: the builder applies
 each step as it emits it, so a bad position or a rule outside the row's
 rule set is a build-time error, never a silent corruption.
-``build_rel1`` produces the underlying factorisation
-c1^n = (P)^n (Q)^n with Q = c3^-1 b a2 a3 b a1 a2; the commutator scripts
-append it inverted after rewriting the conjugated half.
+``build_rel1`` derives the underlying factorisation c1^n = (P)^n (Q)^n,
+with Q = c3^-1 b a2 a3 b a1 a2, by induction on n as the paper does; the
+commutator scripts append it inverted after rewriting the conjugated half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .homology import ASSIGNMENTS, det_hom, evaluate_rep, fig2_reflection_det
 from .presentation import (
@@ -172,42 +173,31 @@ class ScriptBuilder:
         return ProofScript(self.start, tuple(self._steps), end)
 
 
-def _central_rearrange(builder: ScriptBuilder, target: Sequence) -> None:
-    """Permute the current word into ``target`` by moving boundary-twist
-    letters with CENTRAL swaps.  The two words must agree as multisets and
-    on the relative order of their non-central letters.
+def _central_move(builder: ScriptBuilder, src: int, dst: int) -> None:
+    """Move the boundary-twist letter at ``src`` left to ``dst`` by CENTRAL
+    swaps, one past each letter between.
 
-    Each letter that is out of place moves left to its target position in
-    one slice assignment.  Each distinct swap, a (left, mover) pair, is
-    checked where it first occurs, as ``ScriptBuilder.apply`` would: its
-    CENTRAL rule must be in the builder's presentation and rewrite the
-    pair into the pair reversed.  A swap that fails raises what ``apply``
-    raises, with the word as it stood before that letter's move.
+    Each distinct swap, a (left, mover) pair, is checked once, in the
+    order it first occurs, as ``ScriptBuilder.apply`` would: its CENTRAL
+    rule must be in the builder's presentation and rewrite the pair into
+    the pair reversed.  A swap that fails raises what ``apply`` raises at
+    its first position, and the word is left as it stood.
     """
     letters = builder.letters
-    target = list(target)
-    if sorted(letters) != sorted(target):
-        raise AssertionError("rearrangement target is not a permutation of the word")
-    swaps: dict[tuple, tuple] = {}  # (left, mover) -> the swap's (rule, direction)
-    new, share = tuple.__new__, builder.shared.setdefault
-    for i, mover in enumerate(target):
-        if letters[i] == mover:
-            continue
-        j = letters.index(mover, i + 1)
-        moved: list[ProofStep] = []
-        for pos in range(j - 1, i - 1, -1):
-            pair = (letters[pos], mover)
-            swap = swaps.get(pair)
-            if swap is None:
-                rule, direction, table, swapped = _central_swap(builder.presentation, *pair)
-                if table.get(pair) != swapped:
-                    raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
-                                          f"{pair[0]} {mover}")
-                swap = swaps[pair] = (rule, direction)
-            step = new(ProofStep, (*swap, pos))
-            moved.append(share(step, step))
-        letters[i:j + 1] = [mover, *letters[i:j]]
-        builder._steps += moved
+    mover, segment = letters[src], letters[dst:src]
+    swaps: dict[Letter, tuple] = {}  # left -> the swap's (rule, direction)
+    for left in dict.fromkeys(reversed(segment)):
+        rule, direction, table, swapped = _central_swap(builder.presentation, left, mover)
+        if table.get((left, mover)) != swapped:
+            pos = src - 1 - segment[::-1].index(left)
+            raise PatternMismatch(pos, f"{rule.render()} {direction.value}", f"{left} {mover}")
+        swaps[left] = (rule, direction)
+    # ProofStep(rule, direction, pos) of each swap, right to left, made in C
+    made = list(map(tuple.__new__, repeat(ProofStep),
+                    map(tuple.__add__, map(swaps.__getitem__, reversed(segment)),
+                        zip(range(src - 1, dst - 1, -1)))))
+    builder._steps += map(builder.shared.setdefault, made, made)
+    letters[dst:src + 1] = [mover, *segment]
 
 
 def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> tuple:
@@ -238,21 +228,27 @@ class Rel1:
 
 
 def build_rel1(n: int) -> Rel1:
-    """Derive c1^n = (b a2 a3 b a1 a2 c2^-1)^n (c3^-1 b a2 a3 b a1 a2)^n.
-
-    Each c1 letter is expanded through the star relation into the squared
-    word with its two boundary twists split off; one final pass of central
-    moves sorts the boundary letters into the product-of-powers shape.
+    """Derive c1^n = (b a2 a3 b a1 a2 c2^-1)^n (c3^-1 b a2 a3 b a1 a2)^n by
+    induction on |n|, c1 being central.  At k = 0 ... |n|-1 the word is
+    P^k Q^k c1^(+-(|n|-k)): its next c1^(+-1) moves left across Q^k, 7k
+    central moves, and the unit derivation rewrites it in place into
+    P^(+-1) Q^(+-1).  The star relation (after 3 central moves for c1^-1)
+    expands it into the squared six-twist word S S with two boundary twists
+    split off, and 13 central moves put those in place: S c2^-1 c3^-1 S,
+    or c2 S^-1 S^-1 c3.
     """
     lhs = power(C1, n)
     rhs = concat(power(P_WORD, n), power(Q_WORD, n))
     builder = ScriptBuilder(lhs, torus_presentation())
-    for i in range(abs(n)):
-        p = 14 * i
+    for k in range(abs(n)):
+        p = 7 * k
+        _central_move(builder, 2 * p, p)
         if n > 0:
             builder.apply("FREE_RED", ("c2",), Direction.RL, p + 1)
             builder.apply("FREE_RED", ("c3",), Direction.RL, p + 2)
             builder.apply_steps(_CHAIN_A.steps, offset=p)
+            _central_move(builder, p + 13, p + 6)  # S S c3^-1 c2^-1 -> S c2^-1 S c3^-1
+            _central_move(builder, p + 13, p + 7)  # -> S c2^-1 c3^-1 S
         else:
             builder.apply("FREE_RED", ("c2^-1",), Direction.RL, p)
             builder.apply("CENTRAL", ("c2", "c1"), Direction.LR, p + 1)
@@ -260,7 +256,7 @@ def build_rel1(n: int) -> Rel1:
             builder.apply("CENTRAL", ("c3", "c2"), Direction.LR, p + 1)
             builder.apply("CENTRAL", ("c3", "c1"), Direction.LR, p + 2)
             builder.apply_steps(CHAIN_A_MIRROR, offset=p)
-    _central_rearrange(builder, rhs.letters)
+            _central_move(builder, p + 13, p)  # S^-1 S^-1 c3 c2 -> c2 S^-1 S^-1 c3
     return Rel1(n, lhs, rhs, builder.finish(rhs))
 
 

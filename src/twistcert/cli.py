@@ -303,9 +303,11 @@ def parse_certificate(text: str) -> Certificate:
     certificate.  So a text parses only if it is ``format_certificate`` of
     the certificate it parses to.
     """
-    head, sep, script_text = text.partition("\nscript:\n")
-    # the script: line closes the header, so a missing or an extra line shows there
-    lines = (head + sep.rstrip("\n")).split("\n")
+    # the script: line closes the header, so a missing or an extra line shows there;
+    # the script section is read in place, from the line after it
+    cut = text.find("\nscript:\n")
+    cut = cut + 8 if cut >= 0 else len(text)
+    lines = text[:cut].split("\n")
     keys = [key + colon for key, colon, _ in (line.partition(": ") for line in lines)]
     keys[0] = lines[0]  # read whole, so another version or line end is named at line 1
     _check_lines(keys, [_VERSION_LINE, *(f"{key}: " for key in _KEYS[1:]), "script:"])
@@ -348,7 +350,7 @@ def parse_certificate(text: str) -> Certificate:
     # which rules the flavour allows is for verify_certificate to decide;
     # the script's lines are numbered as lines of the certificate
     try:
-        script = parse_script(script_text, every_rule(), first_line=len(lines) + 1, indent="  ")
+        script = parse_script(text, every_rule(), len(lines) + 1, indent="  ", offset=cut + 1)
     except ScriptSyntaxError as exc:
         raise CertificateSyntaxError(f"certificate {exc}") from None
     membership = None

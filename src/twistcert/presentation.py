@@ -467,21 +467,23 @@ def format_script(script: ProofScript, indent: str = "") -> str:
 
 
 def parse_script(text: str, presentation: Presentation, first_line: int = 1,
-                 indent: str = "") -> ProofScript:
+                 indent: str = "", offset: int = 0) -> ProofScript:
     """Read the one text :func:`format_script` writes for a script, each
     line prefixed by ``indent`` (``"  "`` in a certificate's section),
-    resolving rules against ``presentation``.  Any other text is a
+    resolving rules against ``presentation``.  The script is ``text``
+    from ``offset`` on, read in place.  Any other text is a
     :class:`ScriptSyntaxError` naming its first line that is not
     canonical, numbered from ``first_line``, the text's first line in
     its file."""
-    script = _read_section(text, presentation, indent)
+    script = _read_section(text, presentation, indent, offset)
     if script is None:
-        i, message = _refusal(text, presentation, indent)
+        i, message = _refusal(text[offset:], presentation, indent)
         raise ScriptSyntaxError(f"line {first_line + i}: {message}")
     return script
 
 
-def _read_section(text: str, presentation: Presentation, indent: str) -> ProofScript | None:
+def _read_section(text: str, presentation: Presentation, indent: str,
+                  offset: int) -> ProofScript | None:
     """The script of a canonical text, or None for any other text.  Step
     lines are read in windows of about ``_CHUNK`` lines, cut at a line
     feed: only the table from each distinct step text to its step and the
@@ -492,13 +494,13 @@ def _read_section(text: str, presentation: Presentation, indent: str) -> ProofSc
     lookup of its text up to the position, and ``pos`` must be an ``int``
     as ``str`` spells it.  A step line without its own label keeps its
     ``"step "`` start, which no rule text has."""
-    first = text.find("\n") + 1  # where the step lines start
-    last = text.rfind("\n", 0, -1) + 1  # where the end line starts
+    first = text.find("\n", offset) + 1  # where the step lines start
+    last = text.rfind("\n", offset, len(text) - 1) + 1  # where the end line starts
     head, tail, step = indent + "start: ", indent + "end: ", indent + "step "
-    if not (0 < first <= last and text.endswith("\n") and text.startswith(head)
+    if not (offset < first <= last and text.endswith("\n") and text.startswith(head, offset)
             and text.startswith(tail, last)):
         return None
-    start = spelled_word(text[len(head):first - 1])
+    start = spelled_word(text[offset + len(head):first - 1])
     end = spelled_word(text[last + len(tail):-1])
     if start is None or end is None:
         return None

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,7 +32,7 @@ from twistcert import (
 )
 from twistcert import certificates
 from twistcert.certificates import (CLAIMS, Claim, MembershipRecord, P_WORD, Q_WORD,
-                                    ScriptBuilder, _central_rearrange, _repeated,
+                                    ScriptBuilder, _central_move, _repeated,
                                     _row_homology_ok)
 from twistcert.homology import ASSIGNMENTS
 from twistcert.presentation import (PRESENTATIONS, PatternMismatch, UnknownRule, every_rule,
@@ -81,6 +82,30 @@ def test_rel1_script_words_are_literal():
     # implicit reduction, so replaying the inverse direction works too
     rel = build_rel1(2)
     assert verify_script(rel.script.inverted()).ok
+
+
+
+def test_rel1_takes_the_step_counts_of_the_induction():
+    """At each k < |n| the next c1 moves left across Q^k, 7k central moves,
+    and the unit derivation adds fixed counts: 13 central moves for c1
+    and 16 for c1^-1."""
+    for n in range(-40, 41):
+        m = abs(n)
+        central = 7 * m * (m - 1) // 2 + (13 if n > 0 else 16) * m
+        counts = Counter(step.rule.family for step in build_rel1(n).script.steps)
+        assert +counts == +Counter({"CENTRAL": central, "FREE_RED": 2 * m, "STAR": m,
+                                    "COMMUTE": 4 * m, "BRAID": 3 * m}), n
+
+
+@pytest.mark.parametrize("surface, curve, flavor, n, steps", [
+    (O3, NONSEP, "extended-group", 32, 4944),
+    (O3, NONSEP, "extended-group", 64, 17056),
+    (O3, NONSEP, "extended-group", 128, 62784),
+    (SurfaceSpec(False, 8), NONSEP_NC, "twist-subgroup", -64, 17697),
+])
+def test_large_n_certificates_have_the_step_totals_of_the_induction(surface, curve, flavor,
+                                                                     n, steps):
+    assert len(build_certificate(surface, curve, n, flavor).script.steps) == steps
 
 
 # --- certificates ------------------------------------------------------------
@@ -224,8 +249,8 @@ def recorded_determinant_certificate(r_det):
 
 
 @pytest.mark.parametrize("r_det, y, digest", [
-    (1, "a1^-1 r", "e5afa9715ddea13a3d24e860600ce4ff38d8ab2eb3f9d96699544ad147e2b6f7"),
-    (-1, "a1^-1 r h", "3a9599c3e8c9ee842c2695603eb46062d09022bb3908d922670b2e8f83df92c6"),
+    (1, "a1^-1 r", "941bee36fad53b91d335b889fc5739c1d8291985efc904fdb4e78c3a9744302c"),
+    (-1, "a1^-1 r h", "60a3f9824013d2ae8ac5f295b0771ea4104e57623fab4359584e4a1ec5a34ab6"),
 ])
 def test_a_recorded_reflection_determinant_is_rejected(r_det, y, digest):
     cert = recorded_determinant_certificate(r_det)
@@ -331,22 +356,22 @@ def test_certificate_bytes_are_unchanged():
             cert = build_certificate(SurfaceSpec.parse(surface), CurveClass.parse(curve), n, flavor)
             digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == (
-        "7aa5af4dd292b716f6c06e5354d627f7aefa764f7782191a95f29d50a6b28f3b")
+        "495bde70d6cbae76c750b7ee9d466f4f968dcedd4487c81f60c26b424a8253e1")
 
 
 @pytest.mark.parametrize("surface, curve, flavor, n, digest", [
     ("o:3", "nonsep", "extended-group", 40,
-     "5c8d82e9afbc3e26b0da9c87bc1670f47b30578942e525afd5f17e7987248db1"),
+     "a4f5315e5057b1ec0a367ae5661157c8b88f90153366cceef32d200a34924b6b"),
     ("o:3", "nonsep", "extended-group", -33,
-     "d9dde21f2a25c443d92dff2ecfb042539fb052748ebba2af16aaf55b723080a8"),
+     "b5fb8f4e0fdb085898710184bf89ef2a0b1a6d9a00f82ddc04f9da3a7bf6e561"),
     ("n:8", "nonsep:nc", "twist-subgroup", 40,
-     "ae390ebef5429b9fd75e42aa0152ce706c780b085223cb24d41e808290d3cbdd"),
+     "5e7ef558cd424bbd303670c8b3704ae47c6392d0a35c8092e6a7362310a278f1"),
     ("n:8", "nonsep:nc", "twist-subgroup", -33,
-     "18c167dd972d06154382f1522b132e76ce047e36436415976708049acb004778"),
+     "d61c03b16d89cc38bb34812a6fdbbb3cdfa81996e9f517fa5ade0dd9793812f6"),
 ])
 def test_large_n_certificate_bytes_are_unchanged(surface, curve, flavor, n, digest):
-    """SHA-256 of the certificate text where the central rearrangement
-    makes most of the script: the ``r`` and ``rh`` rows at n = 40 and -33."""
+    """SHA-256 of the certificate text where the central moves make most
+    of the script: the ``r`` and ``rh`` rows at n = 40 and -33."""
     cert = build_certificate(SurfaceSpec.parse(surface), CurveClass.parse(curve), n, flavor)
     assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == digest
 
@@ -521,81 +546,68 @@ def test_builder_verifier_contract_sample():
             assert verify_certificate(cert).ok, (cert.flavor, n)
 
 
-# --- central rearrangement ---------------------------------------------------
+# --- central moves ------------------------------------------------------------
 
 
-def _rearrange_one_swap_at_a_time(builder, target):
-    """Reference for ``_central_rearrange``: bubble each letter into place
-    one CENTRAL swap at a time, each through ``ScriptBuilder.apply``."""
-    target = list(target)
-    if sorted(builder.letters) != sorted(target):
-        raise AssertionError("rearrangement target is not a permutation of the word")
-    for i, want in enumerate(target):
-        if builder.letters[i] == want:
-            continue
-        j = builder.letters.index(want, i + 1)
-        for jj in range(j, i, -1):
-            left, mover = builder.letters[jj - 1], builder.letters[jj]
-            if mover.name in ("c1", "c2", "c3"):
-                if left.name == mover.name:
-                    raise AssertionError("cannot swap a central letter past itself")
-                builder.apply("CENTRAL", (mover.name, left.name), Direction.RL, jj - 1)
-            elif left.name in ("c1", "c2", "c3"):
-                builder.apply("CENTRAL", (left.name, mover.name), Direction.LR, jj - 1)
-            else:
-                raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
+def _move_one_swap_at_a_time(builder, src, dst):
+    """Reference for ``_central_move``: swap the letter at ``src`` left to
+    ``dst`` one CENTRAL swap at a time, each through ``ScriptBuilder.apply``."""
+    for jj in range(src, dst, -1):
+        left, mover = builder.letters[jj - 1], builder.letters[jj]
+        if mover.name in ("c1", "c2", "c3"):
+            if left.name == mover.name:
+                raise AssertionError("cannot swap a central letter past itself")
+            builder.apply("CENTRAL", (mover.name, left.name), Direction.RL, jj - 1)
+        elif left.name in ("c1", "c2", "c3"):
+            builder.apply("CENTRAL", (left.name, mover.name), Direction.LR, jj - 1)
+        else:
+            raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
 
 
-def _rearranged(rearrange, start, target):
-    """The steps and word a rearrangement leaves, or what it raises."""
+def _moved(move, start, src, dst):
+    """The script a move of the letter at ``src`` to ``dst`` makes, or what
+    it raises."""
     builder = ScriptBuilder(start, torus_presentation())
     try:
-        rearrange(builder, target.letters)
+        move(builder, src, dst)
     except Exception as exc:
         return type(exc), str(exc)
-    return builder.finish(target)
-
-
-def _admissible_target(rng, start):
-    """A random reordering of ``start`` that keeps the order of its
-    non-central letters and of the letters of each boundary twist."""
-    keys = [rng.random() for _ in start.letters]
-    chains = {}
-    for i, lt in enumerate(start.letters):
-        chains.setdefault(lt.name if lt.name in ("c1", "c2", "c3") else "", []).append(i)
-    for chain in chains.values():
-        for i, key in zip(chain, sorted(keys[i] for i in chain)):
-            keys[i] = key
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return Word(tuple(start.letters[i] for i in order))
+    letters = list(start.letters)
+    letters.insert(dst, letters.pop(src))
+    return builder.finish(Word(tuple(letters)))
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_central_rearrange_matches_one_swap_at_a_time(seed):
+def test_central_move_matches_one_swap_at_a_time(seed):
     rng = random.Random(seed)
     start = random_word(rng, rng.randrange(2, 40), names=("b", "a1", "a2", "a3", "c1", "c2", "c3"))
-    if seed % 4:
-        target = _admissible_target(rng, start)
-    else:  # any permutation: the two must also fail alike
-        target = Word(tuple(rng.sample(start.letters, len(start))))
-    expected = _rearranged(_rearrange_one_swap_at_a_time, start, target)
-    assert _rearranged(_central_rearrange, start, target) == expected
-    if seed % 4:
+    if seed % 4:  # a boundary letter, moved no further than its own twist's last letter
+        src = rng.choice([i for i, lt in enumerate(start.letters) if lt.name[0] == "c"]
+                         or [0])
+        name = start.letters[src].name
+        stop = max((i + 1 for i in range(src) if start.letters[i].name == name), default=0)
+        dst = rng.randint(stop, src)
+    else:  # any letter to any place on its left: the two must also fail alike
+        src = rng.randrange(len(start))
+        dst = rng.randint(0, src)
+    expected = _moved(_move_one_swap_at_a_time, start, src, dst)
+    assert _moved(_central_move, start, src, dst) == expected
+    if seed % 4 and start.letters[src].name[0] == "c":
         assert isinstance(expected, ProofScript) and verify_script(expected).ok
 
 
-@pytest.mark.parametrize("start, target, error", [
-    ("a1 a2", "a2 a1", (AssertionError, "neither a1 nor a2 is central; cannot rearrange")),
-    ("b c2 a3^-1", "a3^-1 b c2", (AssertionError, "neither b nor a3^-1 is central; cannot rearrange")),
-    ("c1 c1^-1", "c1^-1 c1", (AssertionError, "cannot swap a central letter past itself")),
-    ("r c1", "c1 r", (UnknownRule, "CENTRAL(c1,r) is not in presentation 'torus'")),
+@pytest.mark.parametrize("start, src, dst, error", [
+    ("a1 a2", 1, 0, (AssertionError, "neither a1 nor a2 is central; cannot rearrange")),
+    ("b c2 a3^-1", 2, 0, (AssertionError, "neither b nor a3^-1 is central; cannot rearrange")),
+    ("c1 c1^-1", 1, 0, (AssertionError, "cannot swap a central letter past itself")),
+    ("r c1", 1, 0, (UnknownRule, "CENTRAL(c1,r) is not in presentation 'torus'")),
 ])
-def test_central_rearrange_refuses_a_swap_no_rule_makes(start, target, error):
-    assert _rearranged(_central_rearrange, word(start), word(target)) == error
-    assert _rearranged(_rearrange_one_swap_at_a_time, word(start), word(target)) == error
+def test_central_move_refuses_a_swap_no_rule_makes(start, src, dst, error):
+    assert _moved(_central_move, word(start), src, dst) == error
+    assert _moved(_move_one_swap_at_a_time, word(start), src, dst) == error
 
 
-def test_central_rearrange_checks_each_swap_against_its_rule_table(monkeypatch):
+def test_central_move_checks_each_swap_against_its_rule_table(monkeypatch):
     """A swap whose rule does not rewrite the pair raises PatternMismatch,
     as ``ScriptBuilder.apply`` would, before the letter moves."""
     real = certificates._central_swap
@@ -607,7 +619,7 @@ def test_central_rearrange_checks_each_swap_against_its_rule_table(monkeypatch):
     monkeypatch.setattr(certificates, "_central_swap", wrong_direction)
     builder = ScriptBuilder(word("a1 b c1"), torus_presentation())
     with pytest.raises(PatternMismatch) as info:
-        _central_rearrange(builder, word("c1 a1 b").letters)
+        _central_move(builder, 2, 0)
     assert str(info.value) == "expected CENTRAL(c1,b) LR at position 1, found b c1"
     assert builder.finish(word("a1 b c1")).steps == ()
 
@@ -637,7 +649,7 @@ def test_built_and_parsed_scripts_hold_one_object_per_distinct_step(surface, cur
     for steps in (script.steps, parsed.steps):
         assert len({id(step) for step in steps}) == len(set(steps))
     if n == 64:
-        assert len(set(script.steps)) == 9396 and len(script.steps) == 28396
+        assert len(set(script.steps)) == 3755 and len(script.steps) == 17056
 
 
 def test_format_and_parse_peaks_are_a_few_times_the_text():

@@ -3,13 +3,14 @@
 import hashlib
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from twistcert import fixture_path
 from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
 from twistcert import (build_certificate, CurveClass, Direction, ProofStep, SurfaceSpec,
-                       torus_presentation)
+                       torus_presentation, verify_certificate)
 from twistcert.presentation import ScriptSyntaxError, every_rule, format_script, parse_script
 
 from test_certificates import recorded_determinant_certificate
@@ -135,6 +136,33 @@ def test_certify_round_trip_through_files(tmp_path, capsys):
 
     code, _, _ = invoke(capsys, "verify-script", str(script_path), "--rules", "torus+h")
     assert code == 0
+
+
+# Two certificates as ``certify`` wrote them before c1^n = P^n Q^n was
+# derived by induction on n: a certificate holds its whole proof, so the
+# ones the earlier builder wrote still verify.
+_EARLIER = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, surface, curve, n, flavor, digest", [
+    ("o3-nonsep-extended-n5.cert", "o:3", "nonsep", 5, "extended-group",
+     "1d19c72ce8075f91117bfab7a024f918e4380296b2efb3e5e52e6a4a716df3f9"),
+    ("n8-nonsepnc-twist-n-4.cert", "n:8", "nonsep:nc", -4, "twist-subgroup",
+     "def28c792c1e288a87f97af7e8debd648abb2b1a1404e2f2056c26c9ba0ba576"),
+])
+def test_a_certificate_of_the_earlier_builder_still_verifies(capsys, name, surface, curve, n,
+                                                              flavor, digest):
+    path = _EARLIER / name
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    earlier = parse_certificate(data.decode())
+    assert verify_certificate(earlier).ok
+    code, out, _ = invoke(capsys, "verify-cert", str(path))
+    assert code == 0 and out.endswith("ok: claim, script, homology and membership verified\n")
+    # the builder now writes another script for the same claim
+    cert = build_certificate(SurfaceSpec.parse(surface), CurveClass.parse(curve), n, flavor)
+    assert format_certificate(cert).encode() != data
+    assert cert.script != earlier.script and replace(earlier, script=cert.script) == cert
 
 
 def test_certify_output_is_deterministic(capsys):
@@ -600,6 +628,29 @@ def test_large_certificates_are_read_as_script_files_read_them(source):
     text = _certificate_text(*source)
     assert format_certificate(parse_certificate(text)) == text
     _assert_read_as_a_script_file(text)
+
+
+def test_a_certificate_script_is_read_in_place():
+    """Traced allocations at n = 64: parse_certificate peaks less than a
+    fifth of the text's length above parse_script reading the script
+    section alone, so no copy of the section is made."""
+    import tracemalloc
+
+    text = _certificate_text("o:3", "nonsep", 64, "extended-group")
+    section = text[text.index("\nscript:\n") + 9:]
+    parse_certificate(text)  # the rule tables are made once, untraced
+    peaks = []
+    tracemalloc.start()
+    try:
+        for read in (lambda: parse_certificate(text),
+                     lambda: parse_script(section, every_rule(), indent="  ")):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] - peaks[1] < 0.2 * len(text), [peak / len(text) for peak in peaks]
 
 
 def test_certificate_format_round_trip():

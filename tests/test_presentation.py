@@ -292,12 +292,12 @@ def test_a_script_text_ends_with_its_end_line_and_line_feed(text, expected):
 
 # --- scripts read and written in windows ---------------------------------------
 #
-# format_script and parse_script work _CHUNK lines at a time; rel1 at n = 48
+# format_script and parse_script work _CHUNK lines at a time; rel1 at n = 64
 # has three windows of steps and a partial fourth.
 
 
 def _long_script_lines():
-    script = build_rel1(48).script
+    script = build_rel1(64).script
     assert len(script.steps) > 3 * presentation._CHUNK
     return script, format_script(script).split("\n")
 
