@@ -6,7 +6,7 @@ application at one position, so the derivation is a checkable artifact.
 """
 
 from twistcert import (
-    apply_rule,
+    Word,
     equal_modulo_rules,
     fixture_path,
     parse_script,
@@ -14,15 +14,16 @@ from twistcert import (
     verify_script,
     word,
 )
+from twistcert.presentation import rewrite
 
 pres = torus_presentation()
 script = parse_script(fixture_path("chain_a.proof").read_text(), pres)
 
 print("start:", script.start)
-current = script.start
+letters = list(script.start.letters)
 for i, step in enumerate(script.steps, start=1):
-    current = apply_rule(current, step)
-    print(f"  step {i}: {step.render():28s} -> {current}")
+    rewrite(letters, step)  # one rule at one position, in place
+    print(f"  step {i}: {step.render():28s} -> {Word(tuple(letters))}")
 print("end:  ", script.end)
 
 report = verify_script(script)

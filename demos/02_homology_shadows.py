@@ -26,7 +26,8 @@ print("T_b =")
 print(t_b)
 
 m = t_b * t_a ** 3
-print("\nM = T_b T_a^3  (trace %d, det %d)" % (m.trace(), m.det()))
+trace = sum(m.rows[i][i] for i in range(m.dim))
+print("\nM = T_b T_a^3  (trace %d, det %d)" % (trace, m.det()))
 print(m)
 print("M^3 =")
 print(m ** 3)

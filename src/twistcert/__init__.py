@@ -34,7 +34,6 @@ from .presentation import (
     Rule,
     ScriptSyntaxError,
     VerificationReport,
-    apply_rule,
     equal_modulo_rules,
     even_power_presentation,
     fixture_path,

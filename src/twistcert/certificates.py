@@ -21,10 +21,13 @@ whether its claim must lie in the twist subgroup, which adds a record of
 the determinants that decide membership (``_membership``).  Case
 selection takes only the flavour, the surface and the curve.
 
+A ``Certificate`` holds its request (flavour, n, surface and curve), the
+claim words target, x and y, and the script; its case, claim row, homology
+model and verdict and membership record are computed from the request,
+and a request's case is selected once for all of them (``_select_case``).
 ``build_certificate`` is the one path that assembles a certificate: it
-selects the case of the flavour and builds the claim of the case's row.
-``verify_certificate`` selects the case afresh, from the same three
-inputs, and checks the certificate against the same row.
+builds the claim of its case's row.  ``verify_certificate`` checks the
+certificate against the same row.
 
 The homology check is one check per claim row, cached
 (``_row_homology_ok``): two equations between the images of x_base, y
@@ -281,18 +284,40 @@ class MembershipRecord:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A request (flavour, n, surface and curve), the claim words it states
+    and their proof script.  The rest of what a certificate shows is
+    computed from the request: its case, the claim row of the case, the
+    row's homology model and check, and the membership record."""
+
     flavor: str  # a key of CERTIFICATE_FLAVORS
     n: int
     surface: SurfaceSpec
     curve: CurveClass
-    case: TheoremCase
     target: Word
     x: Word
     y: Word
     script: ProofScript
-    assignment_id: str
-    homology_ok: bool
-    membership: MembershipRecord | None
+
+    @property
+    def case(self) -> TheoremCase:
+        """The request's case; raises ValueError where it has none."""
+        return _select_case(self.flavor, self.surface, self.curve)
+
+    @property
+    def claim(self) -> Claim:
+        return CLAIMS[self.case.y_choice]
+
+    @property
+    def assignment_id(self) -> str:
+        return self.claim.assignment
+
+    @property
+    def homology_ok(self) -> bool:
+        return _row_homology_ok(self.claim)
+
+    @property
+    def membership(self) -> MembershipRecord | None:
+        return _membership(self.flavor, self.case, self.n, self.surface)
 
 
 class Claim(NamedTuple):
@@ -351,8 +376,11 @@ CERTIFICATE_FLAVORS = {
 }
 
 
+@lru_cache(maxsize=64)
 def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass) -> TheoremCase:
-    """The case of a certificate flavour; raise OutOfScope if it has none."""
+    """The case of a certificate flavour; raise OutOfScope if it has none.
+    A case depends on these three inputs alone, so a certificate's build,
+    header, parse and verification share one selection of its case."""
     row = CERTIFICATE_FLAVORS.get(flavor)
     if row is None:
         raise ValueError(f"unknown certificate flavor {flavor!r}")
@@ -364,26 +392,27 @@ def _select_case(flavor: str, surface: SurfaceSpec, curve: CurveClass) -> Theore
     return case
 
 
-def _membership(flavor: str, case: TheoremCase, x: Word, y: Word,
+def _membership(flavor: str, case: TheoremCase, n: int,
                 surface: SurfaceSpec) -> MembershipRecord | None:
     """The determinant record of a flavour whose claim must lie in the
-    twist subgroup; None for the other flavours."""
-    row = CERTIFICATE_FLAVORS.get(flavor)
-    if row is None or not row.twist:
+    twist subgroup, from the case's claim row: each determinant is +-1,
+    so det(x) = det(x_base)^|n|.  None for the other flavours."""
+    if not CERTIFICATE_FLAVORS[flavor].twist:
         return None
     if case.y_choice == "s":
         return MembershipRecord(
             1, 1,
             "x is a twist power; s is chosen in the twist subgroup by composing "
             "with a crosscap slide in the nonorientable complement piece")
-    det_x = det_hom(x, surface)  # twists only
+    claim = CLAIMS[case.y_choice]
+    det_x = det_hom(claim.x_base, surface) ** abs(n)  # twists only
     if case.forced_rh:
         return MembershipRecord(
             det_x, None,
             "reflection determinant unrecorded for this embedding; exactly one "
             "of a1^-1 r and a1^-1 r h lies in the twist subgroup, and the "
             "emitted rh form is the member whenever the reflection is not")
-    det_y = det_hom(y, surface, k=case.k)
+    det_y = det_hom(claim.y, surface, k=case.k)
     return MembershipRecord(det_x, det_y, f"reflection determinant "
                             f"{fig2_reflection_det(case.k):+d} recorded for the embedding")
 
@@ -446,9 +475,7 @@ def build_certificate(surface: SurfaceSpec, curve: CurveClass, n: int,
     x = power(claim.x_base, n)
     target = power(claim.target_base, n)
     script = _commutator_script(case.y_choice, claim, x, target, n)
-    return Certificate(flavor, n, surface, case.curve, case, target, x, claim.y, script,
-                       claim.assignment, _row_homology_ok(claim),
-                       _membership(flavor, case, x, claim.y, surface))
+    return Certificate(flavor, n, surface, case.curve, target, x, claim.y, script)
 
 
 @dataclass(frozen=True)
@@ -465,17 +492,14 @@ class CertificateReport:
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
-    """Check a certificate against the claim row of its case: re-run the
-    case selection; compare target, x and y with the words that n and the
-    row require; replay the script and check that each of its rules is in
-    the row's rule set; once target, x and y match n, take the row's
-    homology check (``_row_homology_ok``) in the row's model, which must
-    be the recorded assignment; and, once the recorded case is the fresh
-    selection's, recompute the membership record from it, which must
-    equal the recorded one.  Failure is a report state, even for
-    malformed certificates."""
-    problems = _case_problems(cert)
-    case_ok = not problems
+    """Check a certificate against the claim row of its request's case:
+    compare target, x and y with the words that n and the row require;
+    replay the script and check that each of its rules is in the row's
+    rule set; once target, x and y match n, take the row's homology check
+    (``_row_homology_ok``) and, for a twist flavour, check that the row's
+    membership record certifies both entries.  Failure is a report state,
+    even for malformed certificates."""
+    problems = []
     if cert.script.start != commutator(cert.x, cert.y):
         problems.append("script start is not the commutator of x and y")
     if cert.script.end != cert.target:
@@ -484,10 +508,11 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     if not report.ok:
         problems.append(f"script replay failed: {report.message}")
 
-    foreign_step, homology_ok = None, False
-    claim = CLAIMS.get(cert.case.y_choice)
-    if claim is None:
-        problems.append(f"unknown y-choice {cert.case.y_choice!r}")
+    foreign_step, homology_ok, membership_ok = None, False, None
+    try:
+        claim, membership = cert.claim, cert.membership
+    except Exception as exc:
+        problems.append(f"case selection rejects this certificate: {exc}")
     else:
         claim_problems = _claim_problems(cert, claim)
         problems.extend(claim_problems)
@@ -497,36 +522,15 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
             rule = cert.script.steps[foreign_step - 1].rule
             problems.append(f"step {foreign_step} uses {rule.render()}, which is not in "
                             f"presentation {presentation.name!r}")
-        if cert.assignment_id not in ASSIGNMENTS:
-            problems.append(f"unknown assignment {cert.assignment_id!r}")
-        elif cert.assignment_id != claim.assignment:
-            problems.append(f"assignment {cert.assignment_id!r} is not the "
-                            f"{claim.assignment!r} model of y-choice {cert.case.y_choice!r}")
-        # the row's check speaks for the certificate only once it states the row's claim
+        # the row's checks speak for the certificate only once it states the row's claim
         if not claim_problems:
             homology_ok = _row_homology_ok(claim)
             if not homology_ok:
                 problems.append("the claim row fails its homology check")
-            elif not cert.homology_ok:
-                problems.append("homology-check is recorded as fail but recomputes as pass")
-
-    # the record is computed from the case: a refuted case leaves it uncertified
-    membership_ok: bool | None = None if case_ok or cert.membership is None else False
-    if case_ok:
-        try:
-            expected = _membership(cert.flavor, cert.case, cert.x, cert.y, cert.surface)
-        except Exception as exc:
-            membership_ok = False
-            problems.append(f"membership check failed to run: {exc}")
-        else:
-            if expected is not None:
-                membership_ok = cert.membership == expected and expected.ok
-                if cert.membership != expected:
-                    problems.append("membership record does not match its recomputation")
-                elif not expected.ok:
-                    problems.append("membership record does not certify both entries")
-            elif cert.membership is not None:
-                problems.append(f"{cert.flavor} certificates carry no membership record")
+        if membership is not None:
+            membership_ok = membership.ok and not claim_problems
+            if not membership.ok:
+                problems.append("membership record does not certify both entries")
 
     ok = not problems
     message = "; ".join(problems) if problems else "claim, script, homology and membership verified"
@@ -534,17 +538,6 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
                       default=None)
     return CertificateReport(ok, report.ok and foreign_step is None, homology_ok,
                              membership_ok, failed_step, message)
-
-
-def _case_problems(cert: Certificate) -> list[str]:
-    """Re-run case selection and compare with the recorded case."""
-    try:
-        expected = _select_case(cert.flavor, cert.surface, cert.curve)
-    except Exception as exc:
-        return [f"case selection rejects this certificate: {exc}"]
-    if expected != cert.case:
-        return ["recorded case does not match a fresh case selection"]
-    return []
 
 
 def _foreign_rule_step(script: ProofScript, presentation: Presentation) -> int | None:

@@ -6,11 +6,14 @@ of a subcommand's handler as ``error: <message>``, and a script or
 certificate error names its line.  Output is plain text with stable field
 ordering; nothing here depends on time, locale or dict-iteration accidents.
 
-A certificate has one text: ``_header`` writes its header lines, and
-``parse_certificate`` accepts a header only if ``_header`` of the
-certificate it parsed gives back the same bytes; its script section is
-read by ``presentation.parse_script``, which accepts only the text
-``presentation.format_script`` writes with the indent ``"  "``.
+A certificate has one text.  ``_header`` writes its 21 header lines: the
+request (flavor, surface, curve and n), the claim words (target, x and y),
+and 13 lines it renders from the request's case.  ``parse_certificate``
+decodes only the request and the claim words, and accepts a header only
+if ``_header`` of the certificate it parsed gives back the same bytes;
+its script section is read by ``presentation.parse_script``, which
+accepts only the text ``presentation.format_script`` writes with the
+indent ``"  "``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from pathlib import Path
 from .certificates import (
     CERTIFICATE_FLAVORS,
     Certificate,
-    MembershipRecord,
     build_certificate,
     verify_certificate,
 )
@@ -41,7 +43,6 @@ from .surfaces import (
     CurveClass,
     OutOfScope,
     SurfaceSpec,
-    TheoremCase,
     Unrealizable,
     classify,
     scl_upper_bound,
@@ -253,7 +254,9 @@ def _yesno(flag: bool) -> str:
 
 def _header(cert: Certificate) -> list[str]:
     """The header lines of a certificate: one ``key: value`` line for each
-    key of ``_KEYS``, each value in its one spelling."""
+    key of ``_KEYS``, each value in its one spelling.  The curve is the
+    case's, in its classified spelling; raise ValueError if the request
+    has no case."""
     case, member = cert.case, cert.membership
     if member is None:
         membership = ("-", "-", "-")
@@ -261,7 +264,7 @@ def _header(cert: Certificate) -> list[str]:
         det_y = "conditional" if member.det_y is None else f"{member.det_y:+d}"
         membership = (f"{member.det_x:+d}", det_y, member.note)
     values = (
-        1, cert.flavor, cert.surface, cert.curve, case.theorem, case.case_id,
+        1, cert.flavor, cert.surface, case.curve, case.theorem, case.case_id,
         case.genus_bound_used, case.y_choice, _opt(case.k), _opt(case.r_det, "{:+d}".format),
         _yesno(case.forced_rh), _opt(case.twist_admissible, _yesno),
         cert.n, cert.target, cert.x, cert.y, cert.assignment_id,
@@ -293,15 +296,17 @@ def _check_lines(found: list[str], expected: list[str]) -> None:
 def parse_certificate(text: str) -> Certificate:
     """Read the one text :func:`format_certificate` writes for a certificate.
 
-    The first line must be ``_VERSION_LINE``, the other header keys
-    must be ``_KEYS`` in order, and ``_header`` of the
-    parsed certificate must give back every header line byte for byte;
-    otherwise ``CertificateSyntaxError`` names the first line that differs.
-    The script section is read by :func:`parse_script`, which accepts
-    only what :func:`format_script` writes with the indent ``"  "`` and
-    names any other text's first line that differs by its line in the
-    certificate.  So a text parses only if it is ``format_certificate`` of
-    the certificate it parses to.
+    The first line must be ``_VERSION_LINE`` and the other header keys
+    must be ``_KEYS`` in order.  The script section is read by
+    :func:`parse_script`, which accepts only what :func:`format_script`
+    writes with the indent ``"  "`` and names any other text's first line
+    that differs by its line in the certificate.  Of the header, only the
+    request and the claim words are decoded, and ``_header`` of the
+    certificate they make must give back every header line byte for byte;
+    otherwise ``CertificateSyntaxError`` names the first line that
+    differs, or the flavor or surface line if the request has no case.
+    So a text parses only if it is ``format_certificate`` of the
+    certificate it parses to.
     """
     # the script: line closes the header, so a missing or an extra line shows there;
     # the script section is read in place, from the line after it
@@ -322,9 +327,6 @@ def parse_certificate(text: str) -> Certificate:
             raise CertificateSyntaxError(
                 f"certificate line {_KEYS.index(key) + 1}: {key}: {exc}") from None
 
-    def opt_int(key: str) -> int | None:
-        return None if fields[key] == "-" else field(key, int)
-
     def header_word(text: str) -> Word:
         """A word as the header spells it; any other text is read by the
         word grammar, which names what is wrong with it, and a word it
@@ -332,47 +334,29 @@ def parse_certificate(text: str) -> Certificate:
         found = spelled_word(text)
         return word(text) if found is None else found
 
-    surface = field("surface", SurfaceSpec.parse)
-    curve = field("curve", CurveClass.parse)
-    case = TheoremCase(
-        theorem=fields["theorem"],
-        case_id=fields["case"],
-        genus_bound_used=field("genus-bound", int),
-        y_choice=fields["y-choice"],
-        surface=surface,
-        curve=curve,
-        k=opt_int("k"),
-        r_det=opt_int("r-det"),
-        forced_rh=fields["forced-rh"] == "yes",
-        twist_admissible=(None if fields["twist-admissible"] == "-"
-                          else fields["twist-admissible"] == "yes"),
-    )
     # which rules the flavour allows is for verify_certificate to decide;
     # the script's lines are numbered as lines of the certificate
     try:
         script = parse_script(text, every_rule(), len(lines) + 1, indent="  ", offset=cut + 1)
     except ScriptSyntaxError as exc:
         raise CertificateSyntaxError(f"certificate {exc}") from None
-    membership = None
-    if fields["membership-x"] != "-":
-        det_y = None if fields["membership-y"] == "conditional" else field("membership-y", int)
-        membership = MembershipRecord(field("membership-x", int), det_y,
-                                      fields["membership-note"])
     cert = Certificate(
         flavor=fields["flavor"],
         n=field("n", int),
-        surface=surface,
-        curve=curve,
-        case=case,
+        surface=field("surface", SurfaceSpec.parse),
+        curve=field("curve", CurveClass.parse),
         target=field("target", header_word),
         x=field("x", header_word),
         y=field("y", header_word),
         script=script,
-        assignment_id=fields["assignment"],
-        homology_ok=fields["homology-check"] == "pass",
-        membership=membership,
     )
-    _check_lines(lines, [*_header(cert), "script:"])
+    try:
+        header = _header(cert)
+    except ValueError as exc:  # an unknown flavor, or no case for this surface and curve
+        line = 3 if cert.flavor in CERTIFICATE_FLAVORS else 2
+        raise CertificateSyntaxError(
+            f"certificate line {line}: case selection rejects this request: {exc}") from None
+    _check_lines(lines, [*header, "script:"])
     return cert
 
 

@@ -94,9 +94,6 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dim)
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         d = self.dim

@@ -290,13 +290,6 @@ def rewrite(letters: list[Letter], step: ProofStep) -> None:
     letters[pos:pos + n] = repl
 
 
-def apply_rule(w: Word, step: ProofStep) -> Word:
-    """Apply one step; raise :class:`PatternMismatch` if it does not fit."""
-    letters = list(w.letters)
-    rewrite(letters, step)
-    return Word(tuple(letters))
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool

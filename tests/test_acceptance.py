@@ -20,7 +20,6 @@ from twistcert import (
     SurfaceSpec,
     SymplecticSpace,
     Word,
-    apply_rule,
     build_certificate,
     commutator,
     concat,
@@ -48,6 +47,7 @@ from twistcert.presentation import PatternMismatch
 from twistcert.words import Letter
 
 from test_homology import det_oracle, mat_eye, mat_mul
+from test_presentation import apply_rule
 
 
 # --- criterion 1: the two derivation chains ship, verify, and break loudly ----

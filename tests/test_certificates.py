@@ -25,6 +25,7 @@ from twistcert import (
     free_reduce,
     genus3_assignment,
     power,
+    select_case,
     torus_presentation,
     verify_certificate,
     verify_script,
@@ -37,7 +38,7 @@ from twistcert.certificates import (CLAIMS, Claim, MembershipRecord, P_WORD, Q_W
 from twistcert.homology import ASSIGNMENTS
 from twistcert.presentation import (PRESENTATIONS, PatternMismatch, UnknownRule, every_rule,
                                     format_script, parse_script)
-from twistcert.cli import format_certificate, parse_certificate
+from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate
 
 from test_homology import mat_eye, oracle_rep
 from test_words import random_word
@@ -195,57 +196,82 @@ def test_certificate_with_broken_script_fails_at_first_reflection_step():
 
 def test_twist_certificate_with_odd_reflection_determinant_fails_membership():
     good = build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 1, "twist-subgroup")
-    # claim the same y on an embedding whose reflection has determinant -1
-    bad_case = replace(good.case, k=1, r_det=-1,
-                       surface=SurfaceSpec(False, 8))
-    bad = replace(good, case=bad_case, surface=SurfaceSpec(False, 8))
+    # claim the same y on the genus 8 embedding, whose reflection has
+    # determinant -1: case selection has no twist-subgroup case there
+    bad = replace(good, surface=SurfaceSpec(False, 8))
     report = verify_certificate(bad)
-    assert not report.ok and report.membership_ok is False
+    assert not report.ok and not report.membership_ok
+    assert report.message.startswith("case selection rejects this certificate: orientable "
+                                     "complement with genus 0 mod 4")
 
 
 def test_verifier_reports_rather_than_raises_on_malformed_certificates():
     good = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
     # a twist-subgroup claim on an orientable surface: the determinant
     # homomorphism is undefined there, but verification must stay a report
-    bad = replace(good, surface=O3, case=replace(good.case, surface=O3))
-    report = verify_certificate(bad)
+    report = verify_certificate(replace(good, surface=O3))
     assert not report.ok and "case selection" in report.message
 
-    bad = replace(good, assignment_id="no-such-assignment")
-    report = verify_certificate(bad)
-    assert not report.ok and "unknown assignment" in report.message
+    report = verify_certificate(replace(good, flavor="no-such-flavor"))
+    assert not report.ok and "unknown certificate flavor 'no-such-flavor'" in report.message
 
     # a separating case records no embedding, so the determinant of r is
-    # undefined and the membership recomputation raises
+    # undefined; the record is the claim row's, and x is not the row's word
     good = build_certificate(SurfaceSpec(False, 8), CurveClass.parse("sep:n2+n6"), 2,
                              "twist-subgroup")
     report = verify_certificate(replace(good, x=concat(good.x, word("r"))))
     assert not report.ok and report.membership_ok is False
-    assert "membership check failed to run: no determinant value for generator 'r'" \
-        in report.message
+    assert "; x is not the word that n = 2 and the case require" in report.message
+
+
+def _edit_fields(text, **values):
+    """``text`` with the header line of each key (written with _ for -)
+    set to ``key: value``."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines[:21]):
+        key = line.partition(": ")[0]
+        if key.replace("-", "_") in values:
+            lines[i] = f"{key}: {values[key.replace('-', '_')]}"
+    return "\n".join(lines)
+
+
+def _refused_at(text, message):
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(text)
+    assert str(exc.value) == f"certificate {message}"
 
 
 def test_verifier_checks_the_recorded_case_against_a_fresh_selection():
-    good = build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup")
-    bad = replace(good, case=replace(good.case, y_choice="r", forced_rh=False, r_det=1))
-    report = verify_certificate(bad)
-    assert not report.ok
+    text = format_certificate(build_certificate(N7, SEP_N2_N5, 2, "twist-subgroup"))
+    _refused_at(_edit_fields(text, y_choice="r", forced_rh="no", r_det="+1"),
+                "line 8: expected 'y-choice: rh', found 'y-choice: r'")
+    _refused_at(_edit_fields(text, case="T2-orientable-complement"),
+                "line 6: expected 'case: T2-separating', found 'case: T2-orientable-complement'")
+    _refused_at(_edit_fields(text, forced_rh="no"),
+                "line 11: expected 'forced-rh: yes', found 'forced-rh: no'")
 
 
-def recorded_determinant_certificate(r_det):
+def recorded_determinant_text(r_det):
     """The n = 2 twist-subgroup certificate for ``n:8 sep:n2+n6`` that a
     user-set reflection determinant once produced: y = a1^-1 r for +1 and
     a1^-1 r h for -1, each recording membership-y +1.  At most one of the
-    two claims is true."""
+    two claims is true.  Its claim, script and model are those of the
+    flavour that makes that claim, with the twist-subgroup case lines."""
     surface, curve = SurfaceSpec(False, 8), CurveClass.parse("sep:n2+n6")
-    default = build_certificate(surface, curve, 2, "twist-subgroup")
-    # the y = a1^-1 r claim, its script and model are those of the extended group
-    claim = default if r_det == -1 else build_certificate(surface, curve, 2, "extended-group")
-    return replace(claim, flavor="twist-subgroup",
-                   case=replace(default.case, y_choice=claim.case.y_choice,
-                                r_det=r_det, forced_rh=False),
-                   membership=MembershipRecord(
-                       1, 1, f"reflection determinant {r_det:+d} recorded for the embedding"))
+    claim = build_certificate(surface, curve, 2,
+                              "extended-group" if r_det == 1 else "twist-subgroup")
+    return _edit_fields(
+        format_certificate(claim), flavor="twist-subgroup", theorem="T2-twist",
+        case="T2-separating", r_det=f"{r_det:+d}", forced_rh="no", membership_x="+1",
+        membership_y="+1",
+        membership_note=f"reflection determinant {r_det:+d} recorded for the embedding")
+
+
+#: where each of those texts is refused: the first line its case renders otherwise
+RECORDED_DETERMINANT_REFUSALS = {
+    1: "line 8: expected 'y-choice: rh', found 'y-choice: r'",
+    -1: "line 10: expected 'r-det: -', found 'r-det: -1'",
+}
 
 
 @pytest.mark.parametrize("r_det, y, digest", [
@@ -253,13 +279,11 @@ def recorded_determinant_certificate(r_det):
     (-1, "a1^-1 r h", "60a3f9824013d2ae8ac5f295b0771ea4104e57623fab4359584e4a1ec5a34ab6"),
 ])
 def test_a_recorded_reflection_determinant_is_rejected(r_det, y, digest):
-    cert = recorded_determinant_certificate(r_det)
-    assert str(cert.y) == y and cert.case.r_det == r_det and cert.membership.det_y == 1
+    text = recorded_determinant_text(r_det)
+    assert f"\ny: {y}\n" in text and f"\nr-det: {r_det:+d}\n" in text
     # byte for byte the certificate that `certify --r-det` printed
-    assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == digest
-    report = verify_certificate(cert)
-    assert not report.ok and report.script_ok and report.homology_ok
-    assert report.message == "recorded case does not match a fresh case selection"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    _refused_at(text, RECORDED_DETERMINANT_REFUSALS[r_det])
 
 
 def test_forced_rh_membership_requires_the_rh_shape():
@@ -283,15 +307,17 @@ def test_a_script_that_ends_where_it_starts_is_rejected():
 
 
 def test_a_record_of_an_entry_outside_the_twist_subgroup_is_rejected():
-    """x times h has determinant -1; its record matches its recomputation
-    and still certifies nothing."""
+    """x times h has determinant -1: it is not the claim row's x, whose
+    record certifies both entries."""
     cert = build_certificate(SurfaceSpec(False, 6), NONSEP_OC, 2, "twist-subgroup")
     x = concat(cert.x, word("h"))
-    membership = MembershipRecord(-1, 1, cert.membership.note)
-    assert certificates._membership(cert.flavor, cert.case, x, cert.y, cert.surface) == membership
-    report = verify_certificate(replace(cert, x=x, membership=membership))
+    assert certificates.det_hom(x, cert.surface) == -1
+    bad = replace(cert, x=x)
+    assert bad.membership == cert.membership == MembershipRecord(1, 1, cert.membership.note)
+    report = verify_certificate(bad)
     assert not report.ok and report.membership_ok is False
-    assert "membership record does not certify both entries" in report.message
+    assert report.message == ("script start is not the commutator of x and y; "
+                              "x is not the word that n = 2 and the case require")
 
 
 def test_empty_claim_with_an_empty_script_fails():
@@ -309,40 +335,57 @@ def test_certificate_with_an_edited_n_fails():
 
 
 def test_recorded_homology_failure_fails():
-    cert = build_certificate(O3, NONSEP, 2, "extended-group")
-    report = verify_certificate(replace(cert, homology_ok=False))
-    assert not report.ok and "homology-check" in report.message
+    text = format_certificate(build_certificate(O3, NONSEP, 2, "extended-group"))
+    _refused_at(_edit_fields(text, homology_check="fail"),
+                "line 18: expected 'homology-check: pass', found 'homology-check: fail'")
 
 
 def test_recorded_assignment_must_be_the_model_of_the_claim():
-    cert = build_certificate(O3, NONSEP, 2, "extended-group")
-    report = verify_certificate(replace(cert, assignment_id="genus3-h"))
-    assert not report.ok and "'genus3-h' is not the 'genus3' model" in report.message
-    report = verify_certificate(replace(cert, assignment_id="no-such-assignment"))
-    assert not report.ok and "unknown assignment" in report.message
+    text = format_certificate(build_certificate(O3, NONSEP, 2, "extended-group"))
+    _refused_at(_edit_fields(text, assignment="genus3-h"),
+                "line 17: expected 'assignment: genus3', found 'assignment: genus3-h'")
+    _refused_at(_edit_fields(text, assignment="no-such-assignment"),
+                "line 17: expected 'assignment: genus3', found 'assignment: no-such-assignment'")
 
 
 def test_an_unknown_y_choice_is_reported():
-    cert = build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup")
-    report = verify_certificate(replace(cert, case=replace(cert.case, y_choice="q")))
-    assert not report.ok and "unknown y-choice 'q'" in report.message
+    text = format_certificate(build_certificate(N7, SEP_N2_N5, 1, "twist-subgroup"))
+    _refused_at(_edit_fields(text, y_choice="q"),
+                "line 8: expected 'y-choice: rh', found 'y-choice: q'")
 
 
 def test_membership_records_are_compared_as_a_whole():
     # a record on a flavour that carries none
-    cert = build_certificate(O3, NONSEP, 2, "extended-group")
-    text = format_certificate(cert).replace(
-        "membership-x: -\nmembership-y: -\nmembership-note: -",
-        "membership-x: -1\nmembership-y: -1\nmembership-note: forged")
-    parsed = parse_certificate(text)
-    assert parsed.membership == MembershipRecord(-1, -1, "forged")
-    report = verify_certificate(parsed)
-    assert not report.ok and report.membership_ok is None
-    assert "carry no membership record" in report.message
+    text = format_certificate(build_certificate(O3, NONSEP, 2, "extended-group"))
+    _refused_at(_edit_fields(text, membership_x="-1", membership_y="-1",
+                             membership_note="forged"),
+                "line 19: expected 'membership-x: -', found 'membership-x: -1'")
     # a record that certifies both entries, but not the one the flavour states
-    cert = build_certificate(N7, NONSEP_NC, 2, "even-power-twist")
-    report = verify_certificate(replace(cert, membership=replace(cert.membership, note="forged")))
-    assert not report.ok and report.membership_ok is False
+    text = format_certificate(build_certificate(N7, NONSEP_NC, 2, "even-power-twist"))
+    expected = text.split("\n")[20]
+    _refused_at(_edit_fields(text, membership_note="forged"),
+                f"line 21: expected {expected!r}, found 'membership-note: forged'")
+
+
+@pytest.mark.parametrize("surface, curve, flavor", [
+    (O3, NONSEP, "extended-group"),
+    (SurfaceSpec(False, 10), NONSEP_OC, "twist-subgroup"),
+    (N7, CurveClass.parse("sep:n5+n2"), "even-power-twist"),
+])
+def test_a_round_trip_selects_the_case_at_most_twice(monkeypatch, surface, curve, flavor):
+    """build, format, parse and verify: one selection for the request as
+    given, and at most one more for its classified curve."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return select_case(*args)
+
+    monkeypatch.setattr(certificates, "select_case", counted)
+    certificates._select_case.cache_clear()
+    cert = build_certificate(surface, curve, 2, flavor)
+    assert verify_certificate(parse_certificate(format_certificate(cert))).ok
+    assert 1 <= len(calls) <= 2
 
 
 def test_certificate_bytes_are_unchanged():
@@ -496,9 +539,13 @@ def test_a_row_that_fails_its_homology_check_fails_every_certificate(monkeypatch
     monkeypatch.setattr(certificates, "_row_homology_ok", lambda claim: False)
     cert = build_certificate(O3, NONSEP, 2, "extended-group")
     assert cert.homology_ok is False
-    report = verify_certificate(replace(cert, homology_ok=True))
-    assert not report.ok and report.script_ok and report.homology_ok is False
-    assert report.message == "the claim row fails its homology check"
+    # the header renders the row's verdict, and a text that says so still fails
+    text = format_certificate(cert)
+    assert "\nhomology-check: fail\n" in text
+    for checked in (cert, parse_certificate(text)):
+        report = verify_certificate(checked)
+        assert not report.ok and report.script_ok and report.homology_ok is False
+        assert report.message == "the claim row fails its homology check"
 
 
 def test_a_huge_edited_n_fails_before_any_squaring():

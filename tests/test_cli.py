@@ -13,7 +13,7 @@ from twistcert import (build_certificate, CurveClass, Direction, ProofStep, Surf
                        torus_presentation, verify_certificate)
 from twistcert.presentation import ScriptSyntaxError, every_rule, format_script, parse_script
 
-from test_certificates import recorded_determinant_certificate
+from test_certificates import RECORDED_DETERMINANT_REFUSALS, recorded_determinant_text
 
 
 def invoke(capsys, *argv):
@@ -220,10 +220,10 @@ def test_certify_takes_no_reflection_determinant(capsys):
 @pytest.mark.parametrize("r_det", [1, -1])
 def test_a_recorded_reflection_determinant_fails_verification(tmp_path, capsys, r_det):
     path = tmp_path / "cert.txt"
-    path.write_text(format_certificate(recorded_determinant_certificate(r_det)))
-    code, out, _ = invoke(capsys, "verify-cert", str(path))
-    assert code == 1
-    assert out.endswith("FAIL: recorded case does not match a fresh case selection\n")
+    path.write_text(recorded_determinant_text(r_det))
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: certificate {RECORDED_DETERMINANT_REFUSALS[r_det]}\n"
 
 
 def test_a_huge_n_range_is_refused_before_it_is_expanded(capsys):
@@ -391,15 +391,25 @@ _ONE_STEP = ("o:3", "nonsep", 1, "extended-group")  # line 26 is "  step 3: ..."
     (_ONE_STEP, 23, lambda line: line.replace("start: b ", "start: zz "),
      "line 23: unknown generator 'zz'"),
     (_ONE_STEP, 7, lambda line: "genus-bound: x",
-     "line 7: genus-bound: invalid literal for int() with base 10: 'x'"),
+     "line 7: expected 'genus-bound: 3', found 'genus-bound: x'"),
     (_EXTENDED, 13, lambda line: "n: three",
      "line 13: n: invalid literal for int() with base 10: 'three'"),
     (_TWIST_OC, 3, lambda line: "surface: q:10",
      "line 3: surface: cannot parse surface spec 'q:10'; expected o:<g> or n:<g>"),
     (_TWIST_OC, 19, lambda line: "membership-x: yes",
-     "line 19: membership-x: invalid literal for int() with base 10: 'yes'"),
+     "line 19: expected 'membership-x: +1', found 'membership-x: yes'"),
+    # a curve not in its classified spelling, or a request with no case
+    (("n:7", "sep:n2+n5", 1, "extended-group"), 4, lambda line: "curve: sep:n5+n2",
+     "line 4: expected 'curve: sep:n2+n5', found 'curve: sep:n5+n2'"),
+    (("n:7", "nonsep:nc", 1, "extended-group"), 4, lambda line: "curve: nonsep",
+     "line 4: expected 'curve: nonsep:nc', found 'curve: nonsep'"),
+    (_EXTENDED, 2, lambda line: "flavor: bogus",
+     "line 2: case selection rejects this request: unknown certificate flavor 'bogus'"),
+    (_TWIST_OC, 3, lambda line: "surface: o:7", "line 3: case selection rejects this request: "
+     "twist-subgroup certificates live on nonorientable surfaces"),
 ], ids=["garbled-step", "unknown-rule", "unlabelled-step", "no-position", "unknown-generator",
-        "genus-bound", "n", "surface", "membership-x"])
+        "genus-bound", "n", "surface", "membership-x", "curve-sides-unsorted",
+        "curve-complement-unsaid", "unknown-flavor", "orientable-surface"])
 def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, source, number,
                                                              edit, message):
     bad = _edit_line(_certificate_text(*source), number, edit)

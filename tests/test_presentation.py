@@ -11,7 +11,6 @@ from twistcert import (
     ProofScript,
     ProofStep,
     Word,
-    apply_rule,
     equal_modulo_rules,
     even_power_presentation,
     fixture_path,
@@ -23,7 +22,7 @@ from twistcert import (
 )
 from twistcert import presentation
 from twistcert.certificates import ScriptBuilder, build_rel1
-from twistcert.presentation import SIGMA, Rule, ScriptSyntaxError, UnknownRule
+from twistcert.presentation import SIGMA, Rule, ScriptSyntaxError, UnknownRule, rewrite
 from twistcert.words import Letter
 
 from test_words import random_word
@@ -31,6 +30,13 @@ from test_words import random_word
 TORUS = torus_presentation()
 TORUS_H = torus_presentation(with_h=True)
 _TWISTS = ("b", "a1", "a2", "a3", "c1", "c2", "c3")
+
+
+def apply_rule(w, step):
+    """A step applied to a word; raise PatternMismatch if it does not fit."""
+    letters = list(w.letters)
+    rewrite(letters, step)
+    return Word(tuple(letters))
 
 
 def step(family, params, direction, pos, pres=TORUS_H):
