@@ -60,13 +60,13 @@ from .presentation import (
     BOUNDARY,
     PRESENTATIONS,
     Direction,
+    Move,
     PatternMismatch,
     Presentation,
     ProofScript,
     ProofStep,
     fixture_path,
     parse_script,
-    rewrite,
     torus_presentation,
     verify_script,
 )
@@ -83,28 +83,18 @@ def mirror_local_steps(steps: Iterable[ProofStep], window_len: int) -> tuple[Pro
     """Steps proving u -> v, transformed to prove u^-1 -> v^-1.
 
     Inverting a word reverses it and flips every sign, so a step at
-    position p on a length-L word lands at L - p - len(pattern), and it
-    must rewrite each inverted segment into the inverted replacement: the
-    mirrored step takes the direction of the same rule that does so.
+    position p on a length-L word lands at L - p - len(segment), as a
+    step of its move's mirror (see :class:`~twistcert.presentation.Move`).
     """
     out: list[ProofStep] = []
     length = window_len
-    for step in steps:
-        rule, direction = step.rule, step.direction
-        rewrites = rule.rewrites(direction).items()
-        mirrored = next((d for d in (direction, direction.flipped())
-                         if all(rule.rewrites(d).get(_inverse(seg)) == _inverse(repl)
-                                for seg, repl in rewrites)), None)
-        if mirrored is None:
-            raise ValueError(f"{rule.render()} {direction.value} steps cannot be mirrored")
-        seg, repl = next(iter(rewrites))
-        out.append(ProofStep(rule, mirrored, length - step.position - len(seg)))
-        length += len(repl) - len(seg)
+    for rule, direction, position in steps:
+        move = rule.moves[direction]
+        if move.mirror is None:
+            raise ValueError(f"{move.name} steps cannot be mirrored")
+        out.append(ProofStep(rule, move.mirror.direction, length - position - move.length))
+        length += move.inverse.length - move.length
     return tuple(out)
-
-
-def _inverse(letters):
-    return tuple(lt.inverse() for lt in reversed(letters))
 
 
 # The two derivation chains ship as proof-script fixtures, their only source.
@@ -139,32 +129,31 @@ class ScriptBuilder:
 
     def apply(self, family: str, params: tuple[str, ...], direction: Direction,
               position: int) -> None:
-        step = tuple.__new__(ProofStep, (self.presentation.rule(family, params), direction,
-                                         position))
-        step = self.shared.setdefault(step, step)
-        rewrite(self.letters, step)
-        self._steps.append(step)
+        rule = self.presentation.rule(family, params)
+        rule.moves[direction].apply(self.letters, position)
+        step = tuple.__new__(ProofStep, (rule, direction, position))
+        self._steps.append(self.shared.setdefault(step, step))
 
     def apply_steps(self, steps: Iterable[ProofStep], offset: int = 0) -> None:
         new, share, letters = tuple.__new__, self.shared.setdefault, self.letters
         for rule, direction, position in steps:
-            step = new(ProofStep, (rule, direction, position + offset))
-            step = share(step, step)
-            rewrite(letters, step)
-            self._steps.append(step)
+            position += offset
+            rule.moves[direction].apply(letters, position)
+            step = new(ProofStep, (rule, direction, position))
+            self._steps.append(share(step, step))
 
     def apply_inverted(self, script: ProofScript) -> None:
         """Append ``script``'s steps inverted and in reverse order, taking
         the current word, which must be the script's end, back to its start.
         The steps are not replayed again: ``script`` has replayed, and every
-        rule's two rewrite tables are inverse bijections."""
+        move's table and its inverse's are inverse bijections."""
         if self.letters != list(script.end.letters):
             raise AssertionError(f"script builder is at {self.word()}, "
                                  f"not at the end {script.end} of the inverted script")
-        flipped = {Direction.LR: Direction.RL, Direction.RL: Direction.LR}
         new, share, inverse = tuple.__new__, self.shared.setdefault, dict.fromkeys(script.steps)
         for key in inverse:
-            step = new(ProofStep, (key.rule, flipped[key.direction], key.position))
+            rule, direction, position = key
+            step = new(ProofStep, (rule, rule.moves[direction].inverse.direction, position))
             inverse[key] = share(step, step)
         self._steps += map(inverse.__getitem__, reversed(script.steps))
         self.letters = list(script.start.letters)
@@ -182,19 +171,20 @@ def _central_move(builder: ScriptBuilder, src: int, dst: int) -> None:
 
     Each distinct swap, a (left, mover) pair, is checked once, in the
     order it first occurs, as ``ScriptBuilder.apply`` would: its CENTRAL
-    rule must be in the builder's presentation and rewrite the pair into
-    the pair reversed.  A swap that fails raises what ``apply`` raises at
-    its first position, and the word is left as it stood.
+    rule must be in the builder's presentation, and its move must rewrite
+    the pair into the pair reversed.  A swap that fails raises what
+    ``apply`` raises at its first position, and the word is left as it
+    stood.
     """
     letters = builder.letters
     mover, segment = letters[src], letters[dst:src]
     swaps: dict[Letter, tuple] = {}  # left -> the swap's (rule, direction)
     for left in dict.fromkeys(reversed(segment)):
-        rule, direction, table, swapped = _central_swap(builder.presentation, left, mover)
-        if table.get((left, mover)) != swapped:
+        move = _central_swap(builder.presentation, left, mover)
+        if move.match((left, mover), 0) != (mover, left):
             pos = src - 1 - segment[::-1].index(left)
-            raise PatternMismatch(pos, f"{rule.render()} {direction.value}", f"{left} {mover}")
-        swaps[left] = (rule, direction)
+            raise PatternMismatch(pos, move.name, f"{left} {mover}")
+        swaps[left] = (move.rule, move.direction)
     # ProofStep(rule, direction, pos) of each swap, right to left, made in C
     made = list(map(tuple.__new__, repeat(ProofStep),
                     map(tuple.__add__, map(swaps.__getitem__, reversed(segment)),
@@ -203,21 +193,18 @@ def _central_move(builder: ScriptBuilder, src: int, dst: int) -> None:
     letters[dst:src + 1] = [mover, *segment]
 
 
-def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> tuple:
-    """The CENTRAL rule and direction that swap ``left mover`` into
-    ``mover left``, with the rule's rewrite table in that direction and
-    the swapped pair.  Raise AssertionError if neither letter is a
-    boundary twist or both twist about the same curve, and UnknownRule if
-    ``presentation`` lacks the rule."""
+def _central_swap(presentation: Presentation, left: Letter, mover: Letter) -> Move:
+    """The CENTRAL move that swaps ``left mover`` into ``mover left``.
+    Raise AssertionError if neither letter is a boundary twist or both
+    twist about the same curve, and UnknownRule if ``presentation`` lacks
+    the rule."""
     if mover.name in BOUNDARY:
         if left.name == mover.name:
             raise AssertionError("cannot swap a central letter past itself")
-        rule, direction = presentation.rule("CENTRAL", (mover.name, left.name)), Direction.RL
-    elif left.name in BOUNDARY:
-        rule, direction = presentation.rule("CENTRAL", (left.name, mover.name)), Direction.LR
-    else:
-        raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
-    return rule, direction, rule.rewrites(direction), (mover, left)
+        return presentation.rule("CENTRAL", (mover.name, left.name)).moves[Direction.RL]
+    if left.name in BOUNDARY:
+        return presentation.rule("CENTRAL", (left.name, mover.name)).moves[Direction.LR]
+    raise AssertionError(f"neither {left} nor {mover} is central; cannot rearrange")
 
 
 @dataclass(frozen=True)
@@ -567,4 +554,4 @@ def _claim_problems(cert: Certificate, claim: Claim) -> list[str]:
 def _repeated(base: Word, k: int) -> tuple[Letter, ...]:
     """power(base, k)'s letters for a claim row's cyclically reduced word,
     with no r where k < 0: base's, inverted when k < 0, |k| times."""
-    return (base.letters if k >= 0 else _inverse(base.letters)) * abs(k)
+    return (base if k >= 0 else invert(base)).letters * abs(k)

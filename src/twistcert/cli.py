@@ -10,16 +10,17 @@ A certificate has one text.  ``_header`` writes its 21 header lines: the
 request (flavor, surface, curve and n), the claim words (target, x and y),
 and 13 lines it renders from the request's case.  ``parse_certificate``
 decodes only the request and the claim words, and accepts a header only
-if ``_header`` of the certificate it parsed gives back the same bytes;
-its script section is read by ``presentation.parse_script``, which
-accepts only the text ``presentation.format_script`` writes with the
-indent ``"  "``.
+if ``_header`` of the certificate it parsed gives back the same bytes.
+Only then is the script section read, by ``presentation.parse_script``,
+which accepts only the text ``presentation.format_script`` writes with
+the indent ``"  "``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -302,11 +303,11 @@ def parse_certificate(text: str) -> Certificate:
     writes with the indent ``"  "`` and names any other text's first line
     that differs by its line in the certificate.  Of the header, only the
     request and the claim words are decoded, and ``_header`` of the
-    certificate they make must give back every header line byte for byte;
-    otherwise ``CertificateSyntaxError`` names the first line that
-    differs, or the flavor or surface line if the request has no case.
-    So a text parses only if it is ``format_certificate`` of the
-    certificate it parses to.
+    certificate they make must give back every header line byte for byte,
+    before the script is read; otherwise ``CertificateSyntaxError`` names
+    the first line that differs, or the flavor or surface line if the
+    request has no case.  So a text parses only if it is
+    ``format_certificate`` of the certificate it parses to.
     """
     # the script: line closes the header, so a missing or an extra line shows there;
     # the script section is read in place, from the line after it
@@ -334,12 +335,7 @@ def parse_certificate(text: str) -> Certificate:
         found = spelled_word(text)
         return word(text) if found is None else found
 
-    # which rules the flavour allows is for verify_certificate to decide;
-    # the script's lines are numbered as lines of the certificate
-    try:
-        script = parse_script(text, every_rule(), len(lines) + 1, indent="  ", offset=cut + 1)
-    except ScriptSyntaxError as exc:
-        raise CertificateSyntaxError(f"certificate {exc}") from None
+    # _header reads no script, so the header is checked before the script is read
     cert = Certificate(
         flavor=fields["flavor"],
         n=field("n", int),
@@ -348,7 +344,7 @@ def parse_certificate(text: str) -> Certificate:
         target=field("target", header_word),
         x=field("x", header_word),
         y=field("y", header_word),
-        script=script,
+        script=None,
     )
     try:
         header = _header(cert)
@@ -357,7 +353,13 @@ def parse_certificate(text: str) -> Certificate:
         raise CertificateSyntaxError(
             f"certificate line {line}: case selection rejects this request: {exc}") from None
     _check_lines(lines, [*header, "script:"])
-    return cert
+    # which rules the flavour allows is for verify_certificate to decide;
+    # the script's lines are numbered as lines of the certificate
+    try:
+        script = parse_script(text, every_rule(), len(lines) + 1, indent="  ", offset=cut + 1)
+    except ScriptSyntaxError as exc:
+        raise CertificateSyntaxError(f"certificate {exc}") from None
+    return replace(cert, script=script)
 
 
 def main() -> None:

@@ -21,15 +21,16 @@ equation by the right one at a position, ``RL`` the converse.
 Which instances exist is stated once too: the three rule sets (``torus``,
 ``torus+h``, ``even-power``) are one table of ordered ``(family, params)``
 keys, and a rule exists exactly when some rule set lists it.  Each
-instance is compiled once, at import, into a table from every segment it
-rewrites to the replacement, so matching is one lookup; every rule set,
-the script parser and the search share those objects.
+instance is compiled once, at import, into two :class:`Move` objects, one
+per direction.  A move holds a table from every segment it rewrites to
+the replacement, so matching is one lookup, and its step text; it links
+to its inverse and to its mirror.  Every rule set, the script reader and
+writer, the replay, the builders and the search share those objects.
 
 A proof script is a start word, a step list and an end word; replaying
 the steps must reproduce the end word letter for letter -- there is no
-implicit reduction.  Replay rewrites one list of letters in place with
-:func:`rewrite`, so a step costs its segment, not the whole word, and
-reads the rule's table and segment length without a method call.
+implicit reduction.  Replay applies each step's move to one list of
+letters in place, so a step costs its segment, not the whole word.
 
 A script has one text, and a certificate's script section is that text
 indented by two spaces: :func:`format_script` writes both, and
@@ -161,9 +162,6 @@ class Direction(Enum):
     # (in C) agrees with equality; Enum's own hashes the name in Python
     __hash__ = object.__hash__
 
-    def flipped(self) -> "Direction":
-        return Direction.RL if self is Direction.LR else Direction.LR
-
 
 class PatternMismatch(Exception):
     """A rule pattern failed to match the word at the step's position."""
@@ -183,21 +181,49 @@ class UnknownRule(KeyError):
     __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
 
 
+class Move:
+    """A rule in one direction: ``table`` maps every segment the move
+    rewrites, each ``length`` letters long, to its replacement, and
+    ``text`` is a step line's text up to its position.  ``inverse`` is the
+    same rule's other direction, and ``mirror`` the move of the same rule
+    that rewrites each inverted segment into the inverted replacement, or
+    None if neither direction does."""
+
+    __slots__ = ("rule", "direction", "table", "length", "name", "text", "inverse", "mirror")
+
+    def __init__(self, rule: "Rule", direction: Direction, table: dict):
+        self.rule, self.direction, self.table = rule, direction, table
+        self.length = len(next(iter(table)))
+        self.name = f"{rule.render()} {direction.value}"
+        self.text = f"{self.name} @ "
+
+    def match(self, letters: Sequence[Letter], pos: int) -> tuple[Letter, ...] | None:
+        """The replacement of the segment at ``pos``, or None if the move
+        rewrites no segment there."""
+        end = pos + self.length
+        # a negative pos would wrap around; FREE_RED RL matches the empty segment
+        return self.table.get(tuple(letters[pos:end])) if 0 <= pos and end <= len(letters) else None
+
+    def apply(self, letters: list[Letter], pos: int) -> None:
+        """Rewrite ``letters`` at ``pos`` in place; raise
+        :class:`PatternMismatch`, leaving them untouched, if the move
+        rewrites no segment there."""
+        repl = self.match(letters, pos)
+        if repl is None:
+            found = " ".join(str(lt) for lt in letters[pos:pos + self.length])
+            raise PatternMismatch(pos, self.name, found or "<out of range>")
+        letters[pos:pos + self.length] = repl
+
+
 @dataclass(frozen=True, eq=False)
 class Rule:
     """One parametric rule instance, e.g. COMMUTE(a1,a2) or FREE_RED(a1^-1),
-    compiled once (``_RULES``): a rule equals only itself, hashed in C."""
+    compiled once (``_RULES``) into its two moves, LR then RL: a rule
+    equals only itself, hashed in C."""
 
     family: str
     params: tuple[str, ...] = ()
-    # every segment the rule rewrites, mapped to its replacement, and the
-    # length of those segments, per direction
-    _lr: dict = field(init=False, repr=False)
-    _rl: dict = field(init=False, repr=False)
-    _lr_len: int = field(init=False, repr=False)
-    _rl_len: int = field(init=False, repr=False)
-    # "FAMILY(params) DIR @ ", a step line up to its position, per direction
-    _texts: dict = field(init=False, repr=False)
+    moves: dict[Direction, Move] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.family, self.params) not in _RULE_KEYS:
@@ -212,35 +238,31 @@ class Rule:
         # inverse undoes it: ScriptBuilder.apply_inverted relies on that
         if len(rl) != len(lr):
             raise ValueError(f"{self.render()} rewrites two segments to one")
-        seg, repl = next(iter(lr.items()))
-        object.__setattr__(self, "_lr", lr)
-        object.__setattr__(self, "_rl", rl)
-        object.__setattr__(self, "_lr_len", len(seg))
-        object.__setattr__(self, "_rl_len", len(repl))
-        object.__setattr__(self, "_texts", {d: f"{self.render()} {d.value} @ " for d in Direction})
+        forward, backward = Move(self, Direction.LR, lr), Move(self, Direction.RL, rl)
+        forward.inverse, backward.inverse = backward, forward
+        # a move's mirror is the move whose table is its own, inverted; if the
+        # LR table inverted is not a table of the rule, neither is the RL one
+        mirrored = {_inverse(seg): _inverse(repl) for seg, repl in lr.items()}
+        forward.mirror, backward.mirror = (
+            (forward, backward) if mirrored == lr else (backward, forward) if mirrored == rl
+            else (None, None))
+        object.__setattr__(self, "moves", {Direction.LR: forward, Direction.RL: backward})
 
     def render(self) -> str:
         return f"{self.family}({','.join(self.params)})"
 
-    def rewrites(self, direction: Direction) -> dict[tuple[Letter, ...], tuple[Letter, ...]]:
-        """Every segment the rule rewrites in ``direction``, mapped to its
-        replacement."""
-        return self._lr if direction is Direction.LR else self._rl
-
     def pattern_len(self, direction: Direction) -> int:
-        return self._lr_len if direction is Direction.LR else self._rl_len
+        return self.moves[direction].length
 
     def match(self, letters: Sequence[Letter], pos: int, direction: Direction
               ) -> tuple[Letter, ...] | None:
         """Return the replacement letters if the pattern matches at pos."""
-        if direction is Direction.LR:
-            table, n = self._lr, self._lr_len
-        else:
-            table, n = self._rl, self._rl_len
-        # a negative pos would wrap around; FREE_RED RL matches the empty segment
-        if pos < 0 or pos + n > len(letters):
-            return None
-        return table.get(tuple(letters[pos:pos + n]))
+        return self.moves[direction].match(letters, pos)
+
+
+def _inverse(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The letters of the inverse word: reversed, each sign flipped."""
+    return tuple([_letter(lt.name, -lt.sign) for lt in reversed(letters)])
 
 
 class ProofStep(NamedTuple):
@@ -253,11 +275,12 @@ class ProofStep(NamedTuple):
     position: int
 
     def render(self) -> str:
-        return f"{self.rule._texts[self.direction]}{self.position}"
+        return f"{self.rule.moves[self.direction].text}{self.position}"
 
     def inverted(self) -> "ProofStep":
         """The step undoing this one at the same position."""
-        return ProofStep(self.rule, self.direction.flipped(), self.position)
+        inverse = self.rule.moves[self.direction].inverse
+        return ProofStep(self.rule, inverse.direction, self.position)
 
 
 @dataclass(frozen=True)
@@ -271,23 +294,11 @@ class ProofScript:
 
 
 def rewrite(letters: list[Letter], step: ProofStep) -> None:
-    """Apply one step to ``letters`` in place; raise :class:`PatternMismatch`,
-    leaving ``letters`` untouched, if it does not fit.  It matches as
-    :meth:`Rule.match` does, reading the rule's table and segment length
-    directly: a step makes no method call."""
+    """Apply one step to ``letters`` in place by its move; raise
+    :class:`PatternMismatch`, leaving ``letters`` untouched, if it does
+    not fit."""
     rule, direction, pos = step
-    if direction is Direction.LR:
-        table, n = rule._lr, rule._lr_len
-    else:
-        table, n = rule._rl, rule._rl_len
-    end = pos + n
-    # a negative pos would wrap around; FREE_RED RL matches the empty segment
-    repl = table.get(tuple(letters[pos:end])) if 0 <= pos and end <= len(letters) else None
-    if repl is None:
-        found = " ".join(str(lt) for lt in letters[pos:pos + n])
-        raise PatternMismatch(pos, f"{rule.render()} {direction.value}",
-                              found or "<out of range>")
-    letters[pos:pos + n] = repl
+    rule.moves[direction].apply(letters, pos)
 
 
 @dataclass(frozen=True)
@@ -306,9 +317,9 @@ def verify_script(script: ProofScript) -> VerificationReport:
     """Replay every step from the start word; the result must equal the end
     word exactly.  Failure is a report state, never an exception."""
     letters = list(script.start.letters)
-    for i, step in enumerate(script.steps, start=1):
+    for i, (rule, direction, pos) in enumerate(script.steps, start=1):
         try:
-            rewrite(letters, step)
+            rule.moves[direction].apply(letters, pos)
         except PatternMismatch as exc:
             return VerificationReport(False, i, str(exc), Word(tuple(letters)))
     current = Word(tuple(letters))
@@ -364,7 +375,8 @@ class Presentation:
         """``"RULE(params) DIR @ "``, a step line's text between its label
         and its position, mapped to the rule and direction it names.
         Built once, on first use."""
-        return {rule._texts[d]: (rule, d) for rule in self._rules.values() for d in Direction}
+        return {move.text: (rule, move.direction) for rule in self._rules.values()
+                for move in rule.moves.values()}
 
     def _segment_index(self) -> _SegmentIndex:
         """Every segment a rule other than FREE_RED rewrites, in either
@@ -379,12 +391,12 @@ class Presentation:
             for i, rule in enumerate(sorted(self._rules.values(), key=Rule.render)):
                 if rule.family == "FREE_RED":
                     cancel.update(dict.fromkeys(
-                        (_encode(pair, _CODES) for pair in rule.rewrites(Direction.LR)), rule))
+                        (_encode(pair, _CODES) for pair in rule.moves[Direction.LR].table), rule))
                     continue
-                for rank, direction in enumerate((Direction.LR, Direction.RL), start=2 * i):
-                    for segment, repl in rule.rewrites(direction).items():
+                for rank, move in enumerate(rule.moves.values(), start=2 * i):
+                    for segment, repl in move.table.items():
                         segments.setdefault(_encode(segment, _CODES), []).append(
-                            (rank, rule, direction, _encode(repl, _CODES)))
+                            (rank, rule, move.direction, _encode(repl, _CODES)))
             # a child can then cancel only where its replacement meets the word
             if any(r[j:j + 2] in cancel for found in segments.values()
                    for _, _, _, r in found for j in range(len(r) - 1)):
@@ -453,7 +465,7 @@ def format_script(script: ProofScript, indent: str = "") -> str:
     steps = script.steps
     parts = [f"{indent}start: {script.start}"]
     for i in range(0, len(steps), _CHUNK):
-        parts.append("\n".join([f"{indent}step {k}: {rule._texts[d]}{p}" for k, (rule, d, p)
+        parts.append("\n".join([f"{indent}step {k}: {rule.moves[d].text}{p}" for k, (rule, d, p)
                                 in enumerate(steps[i:i + _CHUNK], start=i + 1)]))
     parts.append(f"{indent}end: {script.end}\n")
     return "\n".join(parts)
@@ -723,7 +735,7 @@ def equal_modulo_rules(u: Word, v: Word, budget: int,
     while parents[1][node] is not None:
         node, rule, direction, pos, reductions = parents[1][node]  # type: ignore[misc]
         backward += [s.inverted() for s in reversed(reductions)]
-        backward.append(ProofStep(rule, direction.flipped(), pos))
+        backward.append(ProofStep(rule, direction, pos).inverted())
     unreduce_v = [s.inverted() for s in reversed(v_reductions)]
     script = ProofScript(u, (*u_reductions, *forward, *backward, *unreduce_v), v)
     report = verify_script(script)

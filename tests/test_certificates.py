@@ -498,7 +498,7 @@ def test_every_rule_holds_in_the_model_of_its_row():
         model = ASSIGNMENTS[claim.assignment]()
         failures, count = [], 0
         for rule in PRESENTATIONS[claim.rules].rules():
-            for seg, repl in rule.rewrites(Direction.LR).items():
+            for seg, repl in rule.moves[Direction.LR].table.items():
                 count += 1
                 if evaluate_rep(Word(seg), model) != evaluate_rep(Word(repl), model):
                     failures.append(rule.render())
@@ -655,13 +655,12 @@ def test_central_move_refuses_a_swap_no_rule_makes(start, src, dst, error):
 
 
 def test_central_move_checks_each_swap_against_its_rule_table(monkeypatch):
-    """A swap whose rule does not rewrite the pair raises PatternMismatch,
+    """A swap whose move does not rewrite the pair raises PatternMismatch,
     as ``ScriptBuilder.apply`` would, before the letter moves."""
     real = certificates._central_swap
 
     def wrong_direction(presentation, left, mover):
-        rule, direction, _, swapped = real(presentation, left, mover)
-        return rule, direction.flipped(), rule.rewrites(direction.flipped()), swapped
+        return real(presentation, left, mover).inverse
 
     monkeypatch.setattr(certificates, "_central_swap", wrong_direction)
     builder = ScriptBuilder(word("a1 b c1"), torus_presentation())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twistcert import fixture_path
+from twistcert import cli, fixture_path
 from twistcert.cli import CertificateSyntaxError, format_certificate, parse_certificate, run
 from twistcert import (build_certificate, CurveClass, Direction, ProofStep, SurfaceSpec,
                        torus_presentation, verify_certificate)
@@ -422,7 +422,38 @@ def test_an_unreadable_line_is_named_by_its_certificate_line(tmp_path, capsys, s
     assert code == 2 and out == "" and err == f"error: certificate {message}\n"
 
 
-@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+_HOMOLOGY_FAIL = "line 18: expected 'homology-check: pass', found 'homology-check: fail'"
+
+
+def _forged_homology(text):
+    return text.replace("homology-check: pass\n", "homology-check: fail\n")
+
+
+def test_a_forged_header_is_refused_before_the_script_is_read(monkeypatch):
+    """The header is compared with ``_header`` first: a header-refused
+    text costs no script parse."""
+    def unread(*args, **kwargs):
+        raise AssertionError("the script was read")
+
+    monkeypatch.setattr(cli, "parse_script", unread)
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(_forged_homology(_certificate_text(*_ONE_STEP)))
+    assert str(exc.value) == f"certificate {_HOMOLOGY_FAIL}"
+
+
+def test_a_text_with_two_edits_is_refused_at_its_first_differing_line(tmp_path, capsys):
+    bad = _edit_line(_forged_homology(_certificate_text(*_ONE_STEP)), 26,
+                     lambda line: "  step 3 garbage")
+    with pytest.raises(CertificateSyntaxError) as exc:
+        parse_certificate(bad)
+    assert str(exc.value) == f"certificate {_HOMOLOGY_FAIL}"
+    path = tmp_path / "two-edits.txt"
+    path.write_text(bad)
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2 and out == "" and err == f"error: certificate {_HOMOLOGY_FAIL}\n"
+
+
+@pytest.mark.parametrize("separator",["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
 def test_only_a_line_feed_ends_a_script_line(tmp_path, capsys, separator):
     """A character that ``str.splitlines`` also breaks at does not end a

@@ -21,7 +21,7 @@ from twistcert import (
     word,
 )
 from twistcert import presentation
-from twistcert.certificates import ScriptBuilder, build_rel1
+from twistcert.certificates import ScriptBuilder, build_rel1, mirror_local_steps
 from twistcert.presentation import SIGMA, Rule, ScriptSyntaxError, UnknownRule, rewrite
 from twistcert.words import Letter
 
@@ -141,6 +141,62 @@ def test_rule_tables_must_be_inverse_bijections(monkeypatch):
     monkeypatch.setattr(presentation, "_equations", lambda family, params: [("a1^e", "a2")])
     with pytest.raises(ValueError, match="rewrites two segments to one"):
         Rule("COMMUTE", ("a1", "a2"))
+
+
+# --- moves: a rule in one direction ---------------------------------------------
+
+
+_EVERY_MOVE = [move for rule in presentation.every_rule().rules() for move in rule.moves.values()]
+# r is its own inverse as a group element, but r^-1 is no letter of a rule
+_UNMIRRORED = sorted([*(f"CONJ_REFLECT({g}) {d}" for g in _TWISTS for d in ("LR", "RL")),
+                      "FREE_RED(r) LR", "FREE_RED(r) RL"])
+
+
+def _inverse_word(letters):
+    return [lt.inverse() for lt in reversed(letters)]
+
+
+def test_every_move_is_undone_by_its_inverse():
+    assert len(_EVERY_MOVE) == 152
+    for move in _EVERY_MOVE:
+        inverse = move.inverse
+        assert inverse.inverse is move and inverse is not move
+        assert move.rule.moves[move.direction] is move and inverse.rule is move.rule
+        assert inverse.table == {repl: seg for seg, repl in move.table.items()}
+        assert len(set(move.table.values())) == len(move.table)
+        assert {len(seg) for seg in move.table} == {move.length}
+        assert move.text == f"{move.rule.render()} {move.direction.value} @ "
+
+
+def test_every_mirrored_move_rewrites_the_inverse_word():
+    """A move at p on w, and its mirror at |w| - p - len(segment) on w^-1,
+    give inverse words; mirror_local_steps makes that step."""
+    rng = random.Random(27)
+    names = tuple(SIGMA) + ("r", "h", "s", "c")
+    mirrored = [move for move in _EVERY_MOVE if move.mirror is not None]
+    assert len(mirrored) == 136
+    for move in mirrored:
+        assert move.mirror.rule is move.rule
+        for seg in move.table:
+            head = list(random_word(rng, rng.randrange(4), names).letters)
+            w = [*head, *seg, *random_word(rng, rng.randrange(4), names).letters]
+            forward, backward = list(w), _inverse_word(w)
+            move.apply(forward, len(head))
+            pos = len(w) - len(head) - move.length
+            move.mirror.apply(backward, pos)
+            assert backward == _inverse_word(forward), move.name
+            single = ProofStep(move.rule, move.direction, len(head))
+            assert mirror_local_steps([single], len(w)) == (
+                ProofStep(move.rule, move.mirror.direction, pos),)
+
+
+def test_the_moves_without_a_mirror_are_pinned_and_refused():
+    unmirrored = [move for move in _EVERY_MOVE if move.mirror is None]
+    assert sorted(move.name for move in unmirrored) == _UNMIRRORED
+    for move in unmirrored:
+        with pytest.raises(ValueError) as exc:
+            mirror_local_steps([ProofStep(move.rule, move.direction, 0)], move.length)
+        assert str(exc.value) == f"{move.name} steps cannot be mirrored"
 
 
 def test_both_spellings_of_torus_h_share_one_presentation():
